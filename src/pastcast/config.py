@@ -11,6 +11,7 @@ not fit the requested paths.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -51,8 +52,16 @@ class ExperimentConfig:
     loss: str = "hamming"  # predict: loss shaping the plug-in action
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
+        for name in ("model_order", "replicas", "seed", "workers", "trials"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(name, f"must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("n_grid", "k_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not all(map(_is_int, grid)):
+                raise ConfigError(name, f"must be a list of integers, got {grid!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in grid))
         object.__setattr__(self, "schedule", dict(self.schedule))
 
     # -- serialization --------------------------------------------------
@@ -122,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError("k_grid", "levels must be strictly increasing")
         if self.replicas < 1:
             raise ConfigError("replicas", "must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", "must fit in an unsigned 64-bit integer")
         if self.workers < 1:
             raise ConfigError("workers", "must be at least 1")
@@ -135,6 +144,12 @@ class ExperimentConfig:
         source = build_source(self.source)
         build_schedule(self, source).validate(self.n_grid)
         return self
+
+
+def _is_int(value) -> bool:
+    # JSON has one number type and true/false are ints to Python, so 1.5 or
+    # true would otherwise pass as a count and be reported back unchanged.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def outcome_space_for(config: ExperimentConfig, source) -> OutcomeSpace:

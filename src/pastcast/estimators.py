@@ -27,6 +27,8 @@ from .recurrence import (
     RecurrenceRecord,
     SamplePath,
     _record_from_taus,
+    _search,
+    _validate_query,
     backward_recurrences,
 )
 
@@ -318,7 +320,6 @@ def estimate_fixed_k(
     ell: int,
     j: int,
     space: OutcomeSpace,
-    engine: str = "filter",
 ) -> tuple[ConditionalDistribution, RecurrenceRecord]:
     """Next-outcome law from the ``j`` most recent context recurrences.
 
@@ -328,11 +329,9 @@ def estimate_fixed_k(
     before ``j`` recurrences are found; the exception carries the record
     so callers can see how far the search got.
     """
-    record = backward_recurrences(path, k, ell, j, space, engine=engine)
+    record = backward_recurrences(path, k, ell, j, space)
     if record.truncated:
-        err = InsufficientDataError(j, record.achieved_j)
-        err.record = record
-        raise err
+        raise InsufficientDataError(j, record.achieved_j, record=record)
     samples = path.values[np.asarray(record.taus, dtype=np.int64) - 1]
     return _distribution_from_samples(samples, j, space), record
 
@@ -341,7 +340,6 @@ def estimate_truncated(
     path: SamplePath,
     schedule: Schedule,
     space: OutcomeSpace,
-    engine: str = "filter",
 ) -> ConditionalDistribution:
     """Schedule-driven estimate that falls back to the default measure.
 
@@ -354,7 +352,7 @@ def estimate_truncated(
     if ell > path.n:
         return schedule.default()
     try:
-        dist, _ = estimate_fixed_k(path, k, ell, j, space, engine=engine)
+        dist, _ = estimate_fixed_k(path, k, ell, j, space)
     except InsufficientDataError:
         return schedule.default()
     return dist
@@ -369,7 +367,6 @@ def estimate_with_side_info(
     j: int,
     x_space: OutcomeSpace,
     y_space: OutcomeSpace,
-    engine: str = "filter",
 ) -> tuple[ConditionalDistribution, RecurrenceRecord]:
     """Pattern estimate conditioned on a jointly matched side channel.
 
@@ -381,41 +378,12 @@ def estimate_with_side_info(
     """
     if x_path.n != y_path.n:
         raise InputError("main and side paths must have equal length")
-    n = x_path.n
-    if ell > n:
-        raise InputError(f"context length {ell} exceeds path length {n}")
-    if ell < 1 or j < 1:
-        raise InputError("context length and sample count must be positive")
-    xq = x_space.encode(x_path.values, k)
-    yq = y_space.encode(y_path.values, k)
-    y0 = y_space.quantize(y_now, k)
-
-    taus: list[int] = []
-    if engine == "scan":
-        for t in range(1, n - ell + 1):
-            if yq[t - 1] != y0:
-                continue
-            if all(xq[t + i] == xq[i] and yq[t + i] == yq[i] for i in range(ell)):
-                taus.append(t)
-                if len(taus) == j:
-                    break
-    elif engine == "filter":
-        last = n - ell
-        if last >= 1:
-            cand = 1 + np.flatnonzero(yq[:last] == y0)
-            for i in range(ell):
-                if cand.size == 0:
-                    break
-                keep = (xq[cand + i] == xq[i]) & (yq[cand + i] == yq[i])
-                cand = cand[keep]
-            taus = cand[:j].tolist()
-    else:
-        raise InputError(f"unknown engine {engine!r}")
-
+    _validate_query(x_path.n, ell, j)
+    yq = y_path.codes(y_space, k)
+    gate = yq == y_space.quantize(y_now, k)
+    taus = _search((x_path.codes(x_space, k), yq), ell, j, gate)
     record = _record_from_taus(taus, ell, j)
     if record.truncated:
-        err = InsufficientDataError(j, record.achieved_j)
-        err.record = record
-        raise err
+        raise InsufficientDataError(j, record.achieved_j, record=record)
     samples = x_path.values[np.asarray(record.taus, dtype=np.int64) - 1]
     return _distribution_from_samples(samples, j, x_space), record

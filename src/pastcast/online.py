@@ -92,9 +92,9 @@ def predict_regression(estimate: ConditionalDistribution, symbol_values=None) ->
 # One-shot helpers for a single prediction from a chronological past
 
 
-def classify_next(past, schedule: Schedule, space: OutcomeSpace, engine: str = "filter") -> int:
+def classify_next(past, schedule: Schedule, space: OutcomeSpace) -> int:
     path = SamplePath.from_chronological(past)
-    return predict_class(estimate_truncated(path, schedule, space, engine=engine))
+    return predict_class(estimate_truncated(path, schedule, space))
 
 
 def regress_next(
@@ -102,10 +102,9 @@ def regress_next(
     schedule: Schedule,
     space: OutcomeSpace,
     symbol_values=None,
-    engine: str = "filter",
 ) -> float:
     path = SamplePath.from_chronological(past)
-    est = estimate_truncated(path, schedule, space, engine=engine)
+    est = estimate_truncated(path, schedule, space)
     return predict_regression(est, symbol_values)
 
 
@@ -118,7 +117,6 @@ def classify_next_with_side_info(
     j: int,
     x_space: OutcomeSpace,
     y_space: OutcomeSpace,
-    engine: str = "filter",
 ) -> int:
     est, _ = estimate_with_side_info(
         SamplePath.from_chronological(x_past),
@@ -129,7 +127,6 @@ def classify_next_with_side_info(
         j,
         x_space,
         y_space,
-        engine=engine,
     )
     return predict_class(est)
 

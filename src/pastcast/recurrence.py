@@ -9,8 +9,9 @@ mirror image: the pattern is the oldest ``ell`` cells and the walk moves
 toward the recent end.  Offsets count whole-window shifts, so an offset
 ``t`` means the window ``ell + t, ..., 1 + t`` steps back matched.
 
-Two engines produce identical output: a literal scanning loop and a
-vectorized candidate-filtering search used for long paths.
+One search core serves both directions.  It filters offsets a window at
+a time and stops at the requested count, so its work grows with the
+search depth, not with the path length.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, UnsupportedQueryError
-from .quantize import OutcomeSpace
+from .quantize import Alphabet, OutcomeSpace
 
 __all__ = [
     "SamplePath",
@@ -36,8 +37,6 @@ __all__ = [
     "KacRow",
     "IncrementalPatternIndex",
 ]
-
-ENGINES = ("scan", "filter")
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,24 @@ class SamplePath:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_encoded", None)
+
+    def codes(self, space: OutcomeSpace, k: int) -> np.ndarray:
+        """The path's cell ids at level ``k``, most recent first.
+
+        The last encoding is kept, keyed by what determines it: the space
+        object, plus the level on the interval hierarchy (alphabet codes do
+        not depend on ``k``).  Encoding always covers the whole path, so an
+        invalid value anywhere raises :class:`InputError`.
+        """
+        level = None if isinstance(space, Alphabet) else k
+        memo = self._encoded
+        if memo is None or memo[0] is not space or memo[1] != level:
+            codes = space.encode(self.values, k)
+            codes.setflags(write=False)
+            memo = (space, level, codes)
+            object.__setattr__(self, "_encoded", memo)
+        return memo[2]
 
     @classmethod
     def from_chronological(cls, seq) -> "SamplePath":
@@ -108,39 +125,40 @@ class RecurrenceRecord:
         return len(self.taus)
 
 
-def _validate_query(n: int, ell: int, j: int, engine: str) -> None:
+def _validate_query(n: int, ell: int, j: int) -> None:
     if not (isinstance(ell, (int, np.integer)) and ell >= 1):
         raise InputError(f"context length must be a positive int, got {ell!r}")
     if not (isinstance(j, (int, np.integer)) and j >= 1):
         raise InputError(f"recurrence count must be a positive int, got {j!r}")
     if ell > n:
         raise InputError(f"context length {ell} exceeds path length {n}")
-    if engine not in ENGINES:
-        raise InputError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
 
-def _search_scan(codes: np.ndarray, ell: int, j: int) -> list[int]:
-    n = codes.size
-    found: list[int] = []
-    for t in range(1, n - ell + 1):
-        if all(codes[t + i] == codes[i] for i in range(ell)):
-            found.append(t)
-            if len(found) == j:
+def _search(streams, ell: int, j: int, gate=None) -> list[int]:
+    """First ``j`` offsets ``t`` in ``[1, n - ell]`` where every stream's
+    block at ``t`` equals its block at 0 (and ``gate[t - 1]`` holds, if given).
+
+    Offsets are filtered in order, a window at a time, each window four
+    times wider than the last, until ``j`` match: the work grows with the
+    depth reached, not with ``n``.
+    """
+    first = streams[0]
+    last = first.size - ell
+    checks = [(s, i) for i in range(ell) for s in streams][1:]  # (first, 0) picks candidates
+    taus: list[int] = []
+    lo, width = 1, max(1024, 16 * j)
+    while lo <= last and len(taus) < j:
+        hi = min(last, lo + width - 1)
+        cand = lo + np.flatnonzero(first[lo : hi + 1] == first[0])
+        if gate is not None:
+            cand = cand[gate[cand - 1]]
+        for s, i in checks:
+            if cand.size == 0:
                 break
-    return found
-
-
-def _search_filter(codes: np.ndarray, ell: int, j: int) -> list[int]:
-    n = codes.size
-    last = n - ell
-    if last < 1:
-        return []
-    cand = 1 + np.flatnonzero(codes[1 : last + 1] == codes[0])
-    for i in range(1, ell):
-        if cand.size == 0:
-            break
-        cand = cand[codes[cand + i] == codes[i]]
-    return cand[:j].tolist()
+            cand = cand[s[cand + i] == s[i]]
+        taus.extend(cand[: j - len(taus)].tolist())
+        lo, width = hi + 1, 4 * width
+    return taus
 
 
 def _record_from_taus(taus: list[int], ell: int, j: int) -> RecurrenceRecord:
@@ -155,7 +173,6 @@ def backward_recurrences(
     ell: int,
     j: int,
     space: OutcomeSpace,
-    engine: str = "filter",
 ) -> RecurrenceRecord:
     """Offsets of the first ``j`` past recurrences of the current pattern.
 
@@ -165,10 +182,8 @@ def backward_recurrences(
     beyond the stored path; if fewer than ``j`` matches fit, the record
     comes back truncated.
     """
-    _validate_query(path.n, ell, j, engine)
-    codes = space.encode(path.values, k)
-    search = _search_scan if engine == "scan" else _search_filter
-    return _record_from_taus(search(codes, ell, j), ell, j)
+    _validate_query(path.n, ell, j)
+    return _record_from_taus(_search((path.codes(space, k),), ell, j), ell, j)
 
 
 def forward_recurrences(
@@ -177,7 +192,6 @@ def forward_recurrences(
     ell: int,
     j: int,
     space: OutcomeSpace,
-    engine: str = "filter",
 ) -> RecurrenceRecord:
     """Mirror image of :func:`backward_recurrences`.
 
@@ -185,10 +199,8 @@ def forward_recurrences(
     and the scan moves toward increasing time; an offset ``t`` means the
     window shifted ``t`` steps toward the present matched the pattern.
     """
-    _validate_query(path.n, ell, j, engine)
-    codes = space.encode(path.values, k)[::-1]
-    search = _search_scan if engine == "scan" else _search_filter
-    return _record_from_taus(search(codes, ell, j), ell, j)
+    _validate_query(path.n, ell, j)
+    return _record_from_taus(_search((path.codes(space, k)[::-1],), ell, j), ell, j)
 
 
 def avg_inter_recurrence(record: RecurrenceRecord) -> float:
@@ -241,7 +253,6 @@ def growth_rate_diagnostic(
     path: SamplePath,
     entries,
     space: OutcomeSpace,
-    engine: str = "filter",
 ) -> list[GrowthPoint]:
     """Growth curve of recurrence depth across pattern lengths.
 
@@ -253,7 +264,7 @@ def growth_rate_diagnostic(
     """
     points = []
     for k, ell, j in entries:
-        rec = backward_recurrences(path, k, ell, j, space, engine=engine)
+        rec = backward_recurrences(path, k, ell, j, space)
         if rec.truncated:
             points.append(GrowthPoint(k, ell, j, None, None, None, None, True))
             continue

@@ -421,10 +421,8 @@ def test_criterion_11_reference_equivalence():
             for j in (1, 2, 4):
                 back = ref_backward_taus(chron, ell, j_max=j)
                 fwd = ref_forward_taus(chron, ell, j_max=j)
-                for engine in ("scan", "filter"):
-                    rec = backward_recurrences(p, 1, ell, j, BIN, engine=engine)
-                    assert list(rec.taus) == back
-                    assert list(forward_recurrences(p, 1, ell, j, BIN, engine=engine).taus) == fwd
+                assert list(backward_recurrences(p, 1, ell, j, BIN).taus) == back
+                assert list(forward_recurrences(p, 1, ell, j, BIN).taus) == fwd
                 expect = ref_estimate(chron, ell, j, 2)
                 if expect is None:
                     with pytest.raises(InsufficientDataError):

@@ -60,6 +60,36 @@ def test_invalid_config_is_validation_error(tmp_path):
     assert main(["simulate", "--config", str(not_json), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", 1.5),
+        ("trials", "100"),
+        ("replicas", "x"),
+        ("replicas", 2.0),
+        ("replicas", True),
+        ("workers", 1.5),
+        ("workers", None),
+        ("model_order", "4"),
+        ("seed", 11.5),
+        ("seed", False),
+        ("n_grid", "abc"),
+        ("n_grid", [200, 500.5]),
+        ("n_grid", 500),
+        ("k_grid", [1, "2"]),
+        ("k_grid", [True, 2]),
+    ],
+)
+def test_non_integer_config_fields_are_validation_errors(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, **{field: value})
+    out = tmp_path / "o"
+    assert main(["recurrence-stats", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pastcast: {field}: must be ")
+    assert err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_writes_paths(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "sim"

@@ -1,10 +1,15 @@
 """Experiment configuration: serialization, validation, schedule building."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from pastcast.config import (
+    LOSS_KINDS,
+    MODEL_KINDS,
     ExperimentConfig,
     build_schedule,
     outcome_space_for,
@@ -76,6 +81,11 @@ def test_override_drops_none():
         {"schedule": {"unknown_key": 1}},
         {"schedule": {"epsilon": 2.0}},
         {"schedule": {"budget_fraction": 0.0}},
+        {"trials": 1.5},
+        {"replicas": "x"},
+        {"n_grid": "abc"},
+        {"k_grid": (1, 2.5)},
+        {"workers": True},
     ],
 )
 def test_validate_rejects(patch):
@@ -134,3 +144,16 @@ def test_build_schedule_real():
     sched = build_schedule(cfg, build_source(cfg.source))
     assert isinstance(sched, RealValuedSchedule)
     assert sched.j_of_k(1) == 20 and sched.j_of_k(2) == 40
+
+
+def test_readme_config_keys_are_fields():
+    """Every top-level key the README documents is a config field, and
+    every value it lists for ``model`` and ``loss`` is accepted."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"A minimal config:\s*```json\n(.*?)```", text, re.S).group(1)
+    listed = re.search(r"Other top-level keys:(.*?)\n\n", text, re.S).group(1)
+    keys = set(json.loads(example)) | set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", listed)))
+    assert not keys - {f.name for f in fields(ExperimentConfig)}
+    choices = dict(re.findall(r"`(\w+)` \(([^)]*)\)", listed))
+    assert set(re.findall(r"`(\w+)`", choices["model"])) <= set(MODEL_KINDS)
+    assert set(re.findall(r"`(\w+)`", choices["loss"])) <= set(LOSS_KINDS)

@@ -145,11 +145,10 @@ def test_estimate_fixed_k_matches_reference(chron, ell, j):
         assert rec.truncated
         assert rec.achieved_j == len(ref_backward_taus(chron, ell, j_max=j))
     else:
-        for engine in ("scan", "filter"):
-            dist, rec = estimate_fixed_k(p, 1, ell, j, BIN, engine=engine)
-            assert dist.pmf.tolist() == [float(v) for v in expect]
-            assert not dist.default_used
-            assert rec.lam == ell + rec.taus[-1]
+        dist, rec = estimate_fixed_k(p, 1, ell, j, BIN)
+        assert dist.pmf.tolist() == [float(v) for v in expect]
+        assert not dist.default_used
+        assert rec.lam == ell + rec.taus[-1]
 
 
 def test_estimate_fixed_k_real_mode_keeps_raw_values():
@@ -205,23 +204,39 @@ def _ref_side_info(xs, ys, y_now, ell, j):
     st.integers(1, 3),
     st.integers(1, 3),
 )
-def test_side_info_engines_match_brute_force(pairs, y_now, ell, j):
+def test_side_info_matches_brute_force(pairs, y_now, ell, j):
     xs = [a for a, _ in pairs]
     ys = [b for _, b in pairs]
     xp = SamplePath.from_chronological(xs)
     yp = SamplePath.from_chronological(ys)
     expect = _ref_side_info(xs, ys, y_now, ell, j)
-    for engine in ("scan", "filter"):
-        if len(expect) < j:
-            with pytest.raises(InsufficientDataError):
-                estimate_with_side_info(xp, yp, y_now, 1, ell, j, BIN, BIN, engine=engine)
-        else:
-            dist, rec = estimate_with_side_info(
-                xp, yp, y_now, 1, ell, j, BIN, BIN, engine=engine
-            )
-            assert list(rec.taus) == expect
-            counts = np.bincount([xs[len(xs) - t] for t in expect], minlength=2)
-            assert dist.pmf.tolist() == (counts / j).tolist()
+    if len(expect) < j:
+        with pytest.raises(InsufficientDataError):
+            estimate_with_side_info(xp, yp, y_now, 1, ell, j, BIN, BIN)
+    else:
+        dist, rec = estimate_with_side_info(xp, yp, y_now, 1, ell, j, BIN, BIN)
+        assert list(rec.taus) == expect
+        counts = np.bincount([xs[len(xs) - t] for t in expect], minlength=2)
+        assert dist.pmf.tolist() == (counts / j).tolist()
+
+
+@pytest.mark.parametrize("ell, j", [(3, 64), (5, 4), (7, 8)])
+def test_side_info_long_path_matches_brute_force(ell, j):
+    """Searches that reach past the first window of offsets, or truncate."""
+    rng = np.random.default_rng(ell)
+    xs = rng.integers(0, 2, size=20_000).tolist()
+    ys = rng.integers(0, 2, size=20_000).tolist()
+    expect = _ref_side_info(xs, ys, 1, ell, j)
+    xp = SamplePath.from_chronological(xs)
+    yp = SamplePath.from_chronological(ys)
+    if len(expect) < j:
+        with pytest.raises(InsufficientDataError) as err:
+            estimate_with_side_info(xp, yp, 1, 1, ell, j, BIN, BIN)
+        assert list(err.value.record.taus) == expect
+    else:
+        _, rec = estimate_with_side_info(xp, yp, 1, 1, ell, j, BIN, BIN)
+        assert list(rec.taus) == expect
+        assert expect[-1] > 1024
 
 
 def test_side_info_validation():
@@ -232,5 +247,3 @@ def test_side_info_validation():
     yp3 = SamplePath.from_chronological([0, 1, 0])
     with pytest.raises(InputError):
         estimate_with_side_info(xp, yp3, 0, 1, 9, 1, BIN, BIN)
-    with pytest.raises(InputError):
-        estimate_with_side_info(xp, yp3, 0, 1, 1, 1, BIN, BIN, engine="nope")

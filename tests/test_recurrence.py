@@ -1,4 +1,4 @@
-"""Recurrence searches: engines, record invariants, incremental index."""
+"""Recurrence searches: the search core against the reference, records, index."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pastcast.errors import InputError
 from pastcast.quantize import Alphabet, IntervalFieldHierarchy
 from pastcast.recurrence import (
-    ENGINES,
     IncrementalPatternIndex,
     RecurrenceRecord,
     SamplePath,
@@ -21,7 +20,7 @@ from pastcast.recurrence import (
 )
 from pastcast.sources import build_source
 
-from _reference import ref_backward_taus, ref_forward_taus, ref_next_after
+from _reference import ref_backward_taus, ref_forward_taus, ref_next_after, ref_quantize
 
 BIN = Alphabet.of_size(2)
 TRI = Alphabet.of_size(3)
@@ -62,15 +61,15 @@ def test_record_invariants():
 
 def test_query_validation():
     p = SamplePath.from_chronological([0, 1, 0, 1])
-    for ell, j, engine in ((0, 1, "scan"), (1, 0, "scan"), (5, 1, "scan"), (1, 1, "nope")):
+    for ell, j in ((0, 1), (1, 0), (5, 1)):
         with pytest.raises(InputError):
-            backward_recurrences(p, 1, ell, j, BIN, engine=engine)
+            backward_recurrences(p, 1, ell, j, BIN)
     with pytest.raises(InputError):
         backward_recurrences(p, 1, 1.5, 1, BIN)
 
 
 # ---------------------------------------------------------------------------
-# engines against the reference, and against each other
+# the search core against the reference
 
 
 @given(paths_tri, st.integers(1, 5), st.integers(1, 8))
@@ -79,16 +78,15 @@ def test_backward_matches_reference(chron, ell, j):
         ell = len(chron)
     p = SamplePath.from_chronological(chron)
     expect = ref_backward_taus(chron, ell, j_max=j)
-    for engine in ENGINES:
-        rec = backward_recurrences(p, 1, ell, j, TRI, engine=engine)
-        assert list(rec.taus) == expect
-        assert rec.truncated == (len(expect) < j)
-        if not rec.truncated:
-            assert rec.lam == ell + expect[-1]
-            samples = p.values[np.asarray(rec.taus) - 1]
-            assert samples.tolist() == ref_next_after(chron, expect)
-        else:
-            assert rec.lam is None
+    rec = backward_recurrences(p, 1, ell, j, TRI)
+    assert list(rec.taus) == expect
+    assert rec.truncated == (len(expect) < j)
+    if not rec.truncated:
+        assert rec.lam == ell + expect[-1]
+        samples = p.values[np.asarray(rec.taus) - 1]
+        assert samples.tolist() == ref_next_after(chron, expect)
+    else:
+        assert rec.lam is None
 
 
 @given(paths_tri, st.integers(1, 5), st.integers(1, 8))
@@ -97,27 +95,74 @@ def test_forward_matches_reference(chron, ell, j):
         ell = len(chron)
     p = SamplePath.from_chronological(chron)
     expect = ref_forward_taus(chron, ell, j_max=j)
-    for engine in ENGINES:
-        rec = forward_recurrences(p, 1, ell, j, TRI, engine=engine)
+    rec = forward_recurrences(p, 1, ell, j, TRI)
+    assert list(rec.taus) == expect
+
+
+def _symbols(n, m, seed):
+    return np.random.default_rng(seed).integers(0, m, size=n).tolist()
+
+
+def _echo_oldest(chron, ell):
+    """Copy the newest ``ell``-block over the oldest, so the pattern recurs
+    at the last admissible offset ``n - ell`` in both directions."""
+    return chron[-ell:] + chron[ell:]
+
+
+def _zero_band(chron, ell, start, length):
+    """Zero the newest ``ell``-block and the outcomes a backward search
+    reads at offsets ``start .. start + length - 1``, so the pattern recurs
+    at each of those offsets."""
+    n = len(chron)
+    out = list(chron)
+    out[n - ell :] = [0] * ell
+    out[n - ell - start - length + 1 : n - start] = [0] * (length + ell - 1)
+    return out
+
+
+def _grid_values(n, seed):
+    """Reals on a 1/512 grid, so ``ref_quantize`` sees them exactly."""
+    return (np.random.default_rng(seed).integers(-1200, 1200, size=n) / 512.0).tolist()
+
+
+# Paths of 2e4-5e4 outcomes whose searches run far past the first window,
+# up to the whole path.  Each case: (chronological path, space, k, ell, j).
+MULTI_WINDOW_CASES = {
+    "binary_ell8": (_symbols(40_000, 2, 1), BIN, 1, 8, 64),
+    "binary_ell12": (_symbols(40_000, 2, 2), BIN, 1, 12, 4),
+    "ternary_j1024": (_symbols(50_000, 3, 3), TRI, 1, 3, 1024),
+    "binary_ell16_truncated": (_symbols(30_000, 2, 4), BIN, 1, 16, 8),
+    "binary_ell16_last_offset": (_echo_oldest(_symbols(20_000, 2, 5), 16), BIN, 1, 16, 2),
+    "ternary_ell10_last_offset": (_echo_oldest(_symbols(30_000, 3, 6), 10), TRI, 1, 10, 1024),
+    # dense runs of matches straddling the window boundaries at offsets
+    # 1025 and 5121 (windows of 1024, then 4096 offsets for j = 64)
+    "band_first_boundary": (_zero_band(_symbols(30_000, 3, 10), 12, 1000, 200), TRI, 1, 12, 64),
+    "band_second_boundary": (_zero_band(_symbols(30_000, 3, 11), 12, 5100, 200), TRI, 1, 12, 64),
+    "real_k1": (_grid_values(40_000, 7), IntervalFieldHierarchy(), 1, 4, 32),
+    "real_k2": (_grid_values(30_000, 8), IntervalFieldHierarchy(), 2, 2, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_WINDOW_CASES))
+def test_multi_window_search_matches_reference(case):
+    chron, space, k, ell, j = MULTI_WINDOW_CASES[case]
+    n = len(chron)
+    real = isinstance(space, IntervalFieldHierarchy)
+    codes = [ref_quantize(x, k) for x in chron] if real else chron
+    p = SamplePath.from_chronological(chron)
+    for search, ref in (
+        (backward_recurrences, ref_backward_taus),
+        (forward_recurrences, ref_forward_taus),
+    ):
+        expect = ref(codes, ell, j_max=j)
+        rec = search(p, k, ell, j, space)
         assert list(rec.taus) == expect
-
-
-@given(
-    st.lists(st.integers(-2000, 2000), min_size=3, max_size=50),
-    st.integers(1, 4),
-    st.integers(1, 6),
-    st.integers(1, 4),
-)
-def test_engines_agree_on_real_values(grid_points, ell, j, k):
-    """Scan and filter walk different code paths; they must never differ."""
-    xs = [m / 512.0 for m in grid_points]
-    if ell > len(xs):
-        ell = len(xs)
-    h = IntervalFieldHierarchy()
-    p = SamplePath.from_chronological(xs)
-    a = backward_recurrences(p, k, ell, j, h, engine="scan")
-    b = backward_recurrences(p, k, ell, j, h, engine="filter")
-    assert a == b
+        assert rec.truncated == (len(expect) < j)
+        assert rec.lam == (None if rec.truncated else ell + expect[-1])
+        # every case reaches past the first window of offsets
+        assert (expect[-1] if not rec.truncated else n) > max(1024, 16 * j)
+        if case.endswith("last_offset"):
+            assert expect[-1] == n - ell
 
 
 def test_avg_inter_recurrence():
@@ -207,6 +252,30 @@ def test_growth_rate_diagnostic_values():
     assert good.rate == pytest.approx(0.5 * np.log2(8 / 4))
     assert not good.truncated
     assert trunc.truncated and trunc.tau_j is None and trunc.rate is None
+
+
+def test_growth_sweep_encodes_each_path_once(monkeypatch):
+    calls = []
+    encode = Alphabet.encode
+
+    def counting(self, xs, k):
+        calls.append(k)
+        return encode(self, xs, k)
+
+    monkeypatch.setattr(Alphabet, "encode", counting)
+    p = SamplePath.from_chronological(_symbols(20_000, 2, 9))
+    entries = default_growth_entries(p.n, 2, ks=range(4, 11))
+    assert len(entries) == 7
+    points = growth_rate_diagnostic(p, entries, BIN)
+    assert len(calls) == 1
+    assert [pt.tau_j for pt in points] == [
+        ref_backward_taus(p.chronological().tolist(), ell, j_max=j)[-1] for _, ell, j in entries
+    ]
+    # encoding still covers the whole path: a bad symbol far beyond every
+    # search depth is reported, not skipped
+    bad = SamplePath.from_chronological([2] + _symbols(20_000, 2, 9))
+    with pytest.raises(InputError):
+        growth_rate_diagnostic(bad, entries, BIN)
 
 
 def test_kac_diagnostic_deterministic_and_sane():
