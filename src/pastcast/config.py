@@ -11,6 +11,7 @@ not fit the requested paths.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -24,15 +25,28 @@ __all__ = ["ExperimentConfig", "build_schedule", "outcome_space_for"]
 ESTIMATOR_KINDS = ("pattern", "cesaro", "side_info")
 MODEL_KINDS = ("kt_mixture", "lz78")
 LOSS_KINDS = ("hamming", "squared")
-SCHEDULE_KEYS = (
-    "mode",
-    "epsilon",
-    "known_rate",
-    "budget_fraction",
-    "j0",
-    "j_growth",
-    "max_level",
-)
+
+
+def _is_int(value) -> bool:
+    # JSON has one number type and true/false are ints to Python, so 1.5 or
+    # true would otherwise pass as a count and be reported back unchanged.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# schedule key -> (type check, what the check wants)
+SCHEDULE_KEYS = {
+    "mode": (lambda v: isinstance(v, str), "a string"),
+    "epsilon": (_is_real, "a finite real number"),
+    "known_rate": (lambda v: v is None or _is_real(v), "a finite real number or null"),
+    "budget_fraction": (_is_real, "a finite real number"),
+    "j0": (_is_int, "an integer"),
+    "j_growth": (_is_real, "a finite real number"),
+    "max_level": (_is_int, "an integer"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,15 @@ class ExperimentConfig:
             if not isinstance(grid, (list, tuple)) or not all(map(_is_int, grid)):
                 raise ConfigError(name, f"must be a list of integers, got {grid!r}")
             object.__setattr__(self, name, tuple(int(v) for v in grid))
+        if not isinstance(self.schedule, dict):
+            raise ConfigError("schedule", f"must be an object, got {self.schedule!r}")
+        for key, value in self.schedule.items():
+            if key not in SCHEDULE_KEYS:
+                choices = tuple(SCHEDULE_KEYS)
+                raise ConfigError(f"schedule.{key}", f"unknown key; choose from {choices}")
+            check, wanted = SCHEDULE_KEYS[key]
+            if not check(value):
+                raise ConfigError(f"schedule.{key}", f"must be {wanted}, got {value!r}")
         object.__setattr__(self, "schedule", dict(self.schedule))
 
     # -- serialization --------------------------------------------------
@@ -137,19 +160,10 @@ class ExperimentConfig:
             raise ConfigError("workers", "must be at least 1")
         if self.trials < 1:
             raise ConfigError("trials", "must be at least 1")
-        for key in self.schedule:
-            if key not in SCHEDULE_KEYS:
-                raise ConfigError(f"schedule.{key}", f"unknown key; choose from {SCHEDULE_KEYS}")
         # Building the source and schedule exercises their own validators.
         source = build_source(self.source)
         build_schedule(self, source).validate(self.n_grid)
         return self
-
-
-def _is_int(value) -> bool:
-    # JSON has one number type and true/false are ints to Python, so 1.5 or
-    # true would otherwise pass as a count and be reported back unchanged.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def outcome_space_for(config: ExperimentConfig, source) -> OutcomeSpace:

@@ -17,6 +17,11 @@ class ConfigError(PastcastError):
         self.message = message
         super().__init__(f"{field}: {message}")
 
+    def __reduce__(self):
+        # Replica workers send their errors back pickled, and the default
+        # would rebuild this one from the joined message alone.
+        return type(self), (self.field, self.message)
+
 
 class InsufficientDataError(PastcastError):
     """The path was too short to complete the requested recurrence search.

@@ -401,6 +401,8 @@ def _predict_one(args):
     space = outcome_space_for(config, source)
     real_mode = config.schedule.get("mode", "finite") == "real"
     n = max(config.n_grid)
+    if config.estimator not in ("pattern", "side_info"):
+        raise ConfigError("estimator", "predict runs the pattern or side_info estimator")
     side = config.estimator == "side_info"
     states = None
     if side:

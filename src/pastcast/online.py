@@ -9,7 +9,10 @@ estimate never sees the outcome it is scored against.
 Estimators here are incremental wrappers over
 :class:`~pastcast.recurrence.IncrementalPatternIndex`; they produce, at
 every step, exactly the law the offline truncated estimator would
-produce on the past-so-far.
+produce on the past-so-far.  On a finite alphabet the law is read from
+the index's symbol counts of the last ``J`` occurrences, O(m) per step
+for ``m`` symbols; on the interval hierarchy it is the ``J`` sample atoms
+the index returns.
 """
 
 from __future__ import annotations
@@ -176,13 +179,15 @@ class OnlinePatternEstimator:
         k, ell, j = self._params
         if ell > self._n:
             return self.schedule.default()
+        if isinstance(self.space, Alphabet):
+            counts = self._index.counts(j)
+            if counts is None:
+                return self.schedule.default()
+            return ConditionalDistribution.finite(np.array(counts) / j)
         found = self._index.query(j)
-        if found is None:
+        if found is None or found[2]:
             return self.schedule.default()
-        taus, samples, truncated = found
-        if truncated:
-            return self.schedule.default()
-        return _distribution_from_samples(np.asarray(samples), j, self.space)
+        return ConditionalDistribution.empirical(found[1])
 
 
 class OnlineSideInfoEstimator:
@@ -220,30 +225,32 @@ class OnlineSideInfoEstimator:
         self.default_measure = default_measure
         self._x_codes: list[int] = []
         self._y_codes: list[int] = []
-        self._x_values: list = []
-        # joint gram -> (x outcome, side-cell of the outcome position), oldest first
-        self._table: dict[tuple, list[tuple]] = {}
+        # (main gram, side gram, side cell at the following position) ->
+        # main outcomes at that position, oldest first
+        self._table: dict[tuple, list] = {}
 
     def __len__(self) -> int:
-        return len(self._x_values)
+        return len(self._x_codes)
 
     def update(self, x, y) -> None:
-        self._x_values.append(x)
-        self._x_codes.append(int(self.x_space.quantize(x, self.k)))
-        self._y_codes.append(int(self.y_space.quantize(y, self.k)))
+        x_code = int(self.x_space.quantize(x, self.k))
+        y_code = int(self.y_space.quantize(y, self.k))
+        self._x_codes.append(x_code)
+        self._y_codes.append(y_code)
         start = len(self._x_codes) - 1 - self.ell
         if start >= 0:
-            stop = start + self.ell
-            key = (tuple(self._x_codes[start:stop]), tuple(self._y_codes[start:stop]))
-            self._table.setdefault(key, []).append((x, self._y_codes[stop]))
+            self._table.setdefault(self._key(start, y_code), []).append(x)
+
+    def _key(self, start: int, y_cell: int) -> tuple:
+        stop = start + self.ell
+        return (tuple(self._x_codes[start:stop]), tuple(self._y_codes[start:stop]), y_cell)
 
     def current_estimate(self, y_now) -> ConditionalDistribution:
         t = len(self._x_codes)
         if t < self.ell:
             return self._default()
-        key = (tuple(self._x_codes[t - self.ell :]), tuple(self._y_codes[t - self.ell :]))
         y_cell = int(self.y_space.quantize(y_now, self.k))
-        matched = [x for x, cell in self._table.get(key, ()) if cell == y_cell]
+        matched = self._table.get(self._key(t - self.ell, y_cell), ())
         if len(matched) < self.j:
             return self._default()
         samples = np.asarray(matched[-self.j :])

@@ -17,6 +17,7 @@ search depth, not with the path length.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,10 +407,17 @@ class IncrementalPatternIndex:
     """Occurrence index over a growing chronological stream.
 
     Maintains, per quantized ``ell``-gram, the start positions of its
-    occurrences together with the outcome that immediately followed each
-    occurrence.  Appending an outcome is O(ell); querying the ``j`` most
-    recent occurrences of the current context is O(j).  Produces exactly
-    the offsets a from-scratch backward search would.
+    occurrences, oldest first; the outcome that followed an occurrence at
+    ``p`` is read back from the stream at ``p + ell``.  :meth:`query`
+    returns the ``j`` most recent occurrences in O(j), with exactly the
+    offsets a from-scratch backward search would find.
+
+    On a finite :class:`~pastcast.quantize.Alphabet` of ``m`` symbols each
+    gram also keeps cumulative counts of the symbols that followed its
+    occurrences, one row of ``m`` counts per occurrence, so
+    :meth:`counts` gives the symbol counts of the last ``j`` occurrences
+    as the difference of two rows, in O(m) whatever ``j`` is.  Appending
+    an outcome is O(ell + m).
     """
 
     def __init__(self, space: OutcomeSpace, k: int, ell: int):
@@ -418,23 +426,36 @@ class IncrementalPatternIndex:
         self.space = space
         self.k = int(k)
         self.ell = int(ell)
+        self._m = space.size if isinstance(space, Alphabet) else 0
         self._values: list = []
         self._codes: list[int] = []
-        self._table: dict[tuple, tuple[list, list]] = {}
+        # gram -> (start positions, flat prefix-count rows; empty off a finite
+        # alphabet).  Entries are C ints: a stream of 2**31 outcomes would not
+        # fit in memory as the list of values kept here anyway.
+        self._table: dict[tuple, tuple[array, array]] = {}
 
     def __len__(self) -> int:
         return len(self._values)
 
+    def _add(self, start: int) -> None:
+        """Record the occurrence of the gram starting at ``start``."""
+        stop = start + self.ell
+        key = tuple(self._codes[start:stop])
+        entry = self._table.get(key)
+        if entry is None:
+            entry = self._table[key] = (array("i"), array("i", [0] * self._m))
+        positions, prefix = entry
+        positions.append(start)
+        if self._m:
+            row = prefix[-self._m :]
+            row[self._codes[stop]] += 1
+            prefix.extend(row)
+
     def append(self, x) -> None:
-        code = int(self.space.quantize(x, self.k))
+        self._codes.append(int(self.space.quantize(x, self.k)))
         self._values.append(x)
-        self._codes.append(code)
-        start = len(self._codes) - 1 - self.ell
-        if start >= 0:
-            key = tuple(self._codes[start : start + self.ell])
-            positions, samples = self._table.setdefault(key, ([], []))
-            positions.append(start)
-            samples.append(x)
+        if len(self._codes) > self.ell:
+            self._add(len(self._codes) - 1 - self.ell)
 
     def reconfigure(self, k: int, ell: int) -> None:
         """Re-key the index for a new level or context length."""
@@ -447,10 +468,15 @@ class IncrementalPatternIndex:
             self._codes = [int(c) for c in self.space.encode(np.asarray(self._values), self.k)]
         self._table = {}
         for start in range(len(self._codes) - self.ell):
-            key = tuple(self._codes[start : start + self.ell])
-            positions, samples = self._table.setdefault(key, ([], []))
-            positions.append(start)
-            samples.append(self._values[start + self.ell])
+            self._add(start)
+
+    def _current(self):
+        """The current context's table entry: ``None`` while the stream is
+        shorter than the context, an empty entry if the gram never occurred."""
+        t = len(self._codes)
+        if t < self.ell:
+            return None
+        return self._table.get(tuple(self._codes[t - self.ell :]), ((), ()))
 
     def query(self, j: int):
         """Offsets and following outcomes of the last ``j`` occurrences.
@@ -459,15 +485,29 @@ class IncrementalPatternIndex:
         backward-search convention relative to the current stream end; or
         ``None`` when the stream is still shorter than the context.
         """
-        t = len(self._codes)
-        if t < self.ell:
-            return None
-        key = tuple(self._codes[t - self.ell :])
-        entry = self._table.get(key)
+        entry = self._current()
         if entry is None:
-            return (), (), True
-        positions, samples = entry
-        sel_p = positions[-j:]
-        sel_s = samples[-j:]
-        taus = tuple(t - self.ell - p for p in reversed(sel_p))
-        return taus, tuple(reversed(sel_s)), len(sel_p) < j
+            return None
+        sel = entry[0][-j:]
+        end = len(self._codes) - self.ell
+        taus = tuple(end - p for p in reversed(sel))
+        samples = tuple(self._values[p + self.ell] for p in reversed(sel))
+        return taus, samples, len(sel) < j
+
+    def counts(self, j: int) -> list[int] | None:
+        """Symbol counts of the outcomes that followed the last ``j``
+        occurrences of the current context, indexed by symbol.
+
+        ``None`` when fewer than ``j`` occurrences exist (the search would
+        come back truncated) or the stream is shorter than the context.
+        Needs a finite alphabet.
+        """
+        if not self._m:
+            raise InputError("symbol counts need a finite alphabet")
+        entry = self._current()
+        if entry is None or len(entry[0]) < j:
+            return None
+        m, prefix = self._m, entry[1]
+        hi = len(entry[0]) * m
+        lo = hi - j * m
+        return [a - b for a, b in zip(prefix[hi : hi + m], prefix[lo : lo + m])]

@@ -78,10 +78,17 @@ def test_invalid_config_is_validation_error(tmp_path):
         ("n_grid", 500),
         ("k_grid", [1, "2"]),
         ("k_grid", [True, 2]),
+        ("schedule", [1, 2]),
+        ("schedule.epsilon", "hi"),
+        ("schedule.budget_fraction", None),
+        ("schedule.max_level", "x"),
+        ("schedule.j0", 2.7),
+        ("schedule.j_growth", "3"),
     ],
 )
 def test_non_integer_config_fields_are_validation_errors(tmp_path, capsys, field, value):
-    cfg = write_config(tmp_path, **{field: value})
+    top, _, key = field.partition(".")
+    cfg = write_config(tmp_path, **{top: {key: value} if key else value})
     out = tmp_path / "o"
     assert main(["recurrence-stats", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -135,6 +142,16 @@ def test_estimate_csv_schema_and_rerun_is_byte_identical(tmp_path):
 def test_estimate_rejects_other_estimators(tmp_path):
     cfg = write_config(tmp_path, estimator="cesaro")
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predict_rejects_other_estimators(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, estimator="cesaro", n_grid=[200], workers=workers)
+    out = tmp_path / "x"
+    assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pastcast: estimator: ") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -20,6 +20,10 @@ from pastcast.quantize import Alphabet, IntervalFieldHierarchy
 from pastcast.sources import build_source
 
 
+# A source real mode accepts, so a real-mode rejection names the schedule.
+REAL_SOURCE = {"preset": "iid_fair", "values": [0.0, 1.0]}
+
+
 def test_round_trip_through_json(tmp_path):
     cfg = ExperimentConfig(
         source="markov_stay90",
@@ -86,6 +90,14 @@ def test_override_drops_none():
         {"n_grid": "abc"},
         {"k_grid": (1, 2.5)},
         {"workers": True},
+        {"schedule": {"epsilon": "hi"}},
+        {"schedule": {"budget_fraction": None}},
+        {"schedule": [1, 2]},
+        {"schedule": {"mode": 1}},
+        {"schedule": {"known_rate": True}},
+        {"source": REAL_SOURCE, "schedule": {"max_level": "x", "mode": "real"}},
+        {"source": REAL_SOURCE, "schedule": {"j0": 2.7, "mode": "real"}},
+        {"source": REAL_SOURCE, "schedule": {"j_growth": "3", "mode": "real"}},
     ],
 )
 def test_validate_rejects(patch):

@@ -9,6 +9,7 @@ from pastcast.errors import InputError, InsufficientDataError
 from pastcast.estimators import (
     ConditionalDistribution,
     FiniteAlphabetSchedule,
+    RealValuedSchedule,
     estimate_truncated,
     estimate_with_side_info,
 )
@@ -28,9 +29,10 @@ from pastcast.online import (
 )
 from pastcast.quantize import Alphabet
 from pastcast.recurrence import SamplePath
-from pastcast.sources import HMMSource, get_preset
+from pastcast.sources import HMMSource, MarkovSource, get_preset
 
 BIN = Alphabet.of_size(2)
+TRI = Alphabet.of_size(3)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,52 @@ def test_online_estimator_tracks_batch_estimates(chron):
         assert got.default_used == want.default_used
         assert got.pmf.tolist() == want.pmf.tolist()
         online.update(x)
+
+
+def test_online_estimator_tracks_batch_on_long_ternary_path():
+    """Count-based laws equal the batch estimate on a long three-symbol path.
+
+    Compared at sampled steps and at the first steps after each change of
+    the schedule's ``(k, ell)``, where the index is re-keyed.
+    """
+    src = MarkovSource([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+    chron = src.generate(20_000, seed=5).tolist()
+    sched = FiniteAlphabetSchedule(3, epsilon=0.5)
+    online = OnlinePatternEstimator(TRI, sched)
+    rekeyed_at, compared, fitted = [], 0, 0
+    for t, x in enumerate(chron):
+        if t % 97 == 0 or (rekeyed_at and t - rekeyed_at[-1] < 3):
+            got = online.current_estimate()
+            want = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, TRI)
+            assert got.default_used == want.default_used
+            assert got.pmf.tolist() == want.pmf.tolist()
+            compared += 1
+            fitted += not got.default_used
+        shape = online.params[:2]
+        online.update(x)
+        if online.params[:2] != shape:
+            rekeyed_at.append(t + 1)
+    assert rekeyed_at == [81, 729, 6561]
+    assert compared == 207 + 9 and fitted > 0.9 * compared
+
+
+def test_online_estimator_tracks_batch_on_real_values():
+    """Real-valued laws come from the index's sample atoms, through one re-key."""
+    rng = np.random.default_rng(12)
+    chron = np.round(rng.normal(0.0, 0.7, 1_500), 3).tolist()
+    sched = RealValuedSchedule(j0=2, j_growth=1.0)
+    space = sched.hierarchy
+    online = OnlinePatternEstimator(space, sched)
+    fitted = 0
+    for t, x in enumerate(chron):
+        got = online.current_estimate()
+        want = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, space)
+        assert got.default_used == want.default_used
+        assert got.samples.tolist() == want.samples.tolist()
+        fitted += not got.default_used
+        online.update(x)
+    assert online.params == (2, 2, 2)  # level 2 is entered at n = 1298
+    assert fitted > 0.8 * len(chron)
 
 
 def test_online_loop_is_causal():
@@ -216,6 +264,30 @@ def test_side_info_online_tracks_batch(seed):
         else:
             assert got.default_used
         online.update(int(obs[t]), int(states[t]))
+
+
+def test_side_info_online_tracks_batch_on_long_path():
+    src = tiny_hmm()
+    obs, states = src.generate_with_states(4_000, seed=21)
+    online = OnlineSideInfoEstimator(BIN, BIN, k=1, ell=2, j=8)
+    fitted = 0
+    for t in range(obs.size):
+        if t % 13 == 0 and t >= 2:
+            got = online.current_estimate(int(states[t]))
+            try:
+                want, _ = estimate_with_side_info(
+                    SamplePath.from_chronological(obs[:t]),
+                    SamplePath.from_chronological(states[:t]),
+                    int(states[t]), 1, 2, 8, BIN, BIN,
+                )
+            except InsufficientDataError:
+                assert got.default_used
+            else:
+                assert not got.default_used
+                assert got.pmf.tolist() == want.pmf.tolist()
+                fitted += 1
+        online.update(int(obs[t]), int(states[t]))
+    assert fitted > 0.9 * (obs.size // 13)
 
 
 def test_run_online_side_info_end_to_end():

@@ -180,40 +180,62 @@ def test_avg_inter_recurrence():
 # incremental index == from-scratch search, at every step
 
 
+# The finite-alphabet index also answers symbol counts; both alphabets run
+# the count checks, the ternary one with more than two count columns.
+over_alphabets = pytest.mark.parametrize(
+    "space, paths", [(BIN, paths_bin), (TRI, paths_tri)], ids=["BIN", "TRI"]
+)
+
+
+def _check_counts(idx, got, j, m):
+    counts = idx.counts(j)
+    if got is None or got[2]:
+        assert counts is None
+    else:
+        assert counts == np.bincount(got[1], minlength=m).tolist()
+
+
+@over_alphabets
 @settings(max_examples=30)
-@given(paths_bin, st.integers(1, 3), st.integers(1, 5))
-def test_incremental_index_tracks_search(chron, ell, j):
-    idx = IncrementalPatternIndex(BIN, k=1, ell=ell)
+@given(data=st.data(), ell=st.integers(1, 3), j=st.integers(1, 5))
+def test_incremental_index_tracks_search(space, paths, data, ell, j):
+    chron = data.draw(paths)
+    idx = IncrementalPatternIndex(space, k=1, ell=ell)
     for t, x in enumerate(chron, start=1):
         idx.append(x)
         got = idx.query(j)
+        _check_counts(idx, got, j, space.size)
         if t < ell:
             assert got is None
             continue
         p = SamplePath.from_chronological(chron[:t])
-        rec = backward_recurrences(p, 1, ell, j, BIN)
+        rec = backward_recurrences(p, 1, ell, j, space)
         taus, samples, truncated = got
         assert list(taus) == list(rec.taus)
         assert truncated == rec.truncated
         assert list(samples) == [chron[t - tau] for tau in rec.taus]
 
 
+@over_alphabets
 @settings(max_examples=20)
-@given(paths_bin, st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
-def test_incremental_index_reconfigure(chron, ell_a, ell_b, j):
+@given(data=st.data(), ell_a=st.integers(1, 3), ell_b=st.integers(1, 3), j=st.integers(1, 4))
+def test_incremental_index_reconfigure(space, paths, data, ell_a, ell_b, j):
     """Re-keying mid-stream must agree with a fresh search at the new shape."""
-    idx = IncrementalPatternIndex(BIN, k=1, ell=ell_a)
+    chron = data.draw(paths)
+    idx = IncrementalPatternIndex(space, k=1, ell=ell_a)
     half = len(chron) // 2
     for x in chron[:half]:
         idx.append(x)
     idx.reconfigure(1, ell_b)
+    _check_counts(idx, idx.query(j), j, space.size)
     for x in chron[half:]:
         idx.append(x)
+        _check_counts(idx, idx.query(j), j, space.size)
     got = idx.query(j)
     if len(chron) < ell_b:
         assert got is None
         return
-    rec = backward_recurrences(SamplePath.from_chronological(chron), 1, ell_b, j, BIN)
+    rec = backward_recurrences(SamplePath.from_chronological(chron), 1, ell_b, j, space)
     taus, samples, truncated = got
     assert list(taus) == list(rec.taus)
     assert truncated == rec.truncated
@@ -225,6 +247,8 @@ def test_incremental_index_validation():
     idx = IncrementalPatternIndex(BIN, k=1, ell=2)
     with pytest.raises(InputError):
         idx.reconfigure(1, 0)
+    with pytest.raises(InputError):  # counts are per symbol of a finite alphabet
+        IncrementalPatternIndex(IntervalFieldHierarchy(), k=1, ell=1).counts(1)
 
 
 # ---------------------------------------------------------------------------
