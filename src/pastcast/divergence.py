@@ -107,14 +107,24 @@ def pinsker_check(p, q, tol: float = 1e-9) -> DivergenceReport:
 # Cesàro estimation
 
 
+def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
+    """``carry + rows[0]``, ``carry + rows[0] + rows[1]``, ... added in order.
+
+    The same floats as repeated ``+=`` from ``carry``: ``np.cumsum``
+    adds left to right.
+    """
+    return np.cumsum(np.vstack([carry, rows]), axis=0)[1:]
+
+
 def cesaro_estimate(model, path: SamplePath) -> ConditionalDistribution:
     """Average of the model's predictions over all suffix windows.
 
     For a path of length ``n`` the estimate is the mean of the model's
     next-symbol prediction after consuming, chronologically, the ``t``
-    most recent outcomes, for every ``t < n``.  Models exposing
-    ``prepend`` are swept in one pass; anything else is re-run from
-    scratch per window, which costs O(n^2) model steps.
+    most recent outcomes, for every ``t < n``.  Models with a
+    ``window_sweep`` (the KT mixture) give every window's prediction from
+    one blocked sweep; anything else is re-run from scratch per window,
+    which costs O(n^2) model steps.
 
     An empty path returns the model's prior prediction flagged as a
     default.  The supplied model must be blank (nothing consumed yet).
@@ -124,13 +134,11 @@ def cesaro_estimate(model, path: SamplePath) -> ConditionalDistribution:
     if path.n == 0:
         return ConditionalDistribution.finite(model.predict(), default_used=True)
     storage = path.values
-    if hasattr(model, "prepend"):
-        acc = model.predict().copy()
-        for t in range(1, path.n):
-            model.prepend(int(storage[t - 1]))
-            acc += model.predict()
+    acc = np.zeros(model.alphabet_size)
+    if hasattr(model, "window_sweep"):
+        for _, preds, _ in model.window_sweep(storage, path.n):
+            acc = _running_sums(preds, acc)[-1]
     else:
-        acc = np.zeros(model.alphabet_size)
         for t in range(path.n):
             run = model.fresh()
             for u in range(t - 1, -1, -1):  # chronological order within the window
@@ -151,13 +159,15 @@ def expected_divergence_curve(
 
     For each replica a stationary path of length ``max(n_grid)`` is
     drawn, the oracle conditional law at its recent end is computed
-    exactly, and one prepend sweep of a fresh model collects the Cesàro
+    exactly, and one ``window_sweep`` of a fresh model gives the Cesàro
     estimate at every grid size ``n`` (which conditions on windows up to
-    ``n - 1``).  Rows report divergence in bits, variational distance,
-    and the model's realized per-symbol redundancy over the consumed
-    window.  With ``track_convexity`` each row also carries the running
-    average of per-window divergences, an upper bound for the divergence
-    of the averaged estimate.
+    ``n - 1``) as running sums of the window predictions.  A model
+    without a sweep is re-run per window for each grid size, O(n^2)
+    steps.  Rows report divergence in bits, variational distance, and the
+    model's realized per-symbol redundancy over the consumed window (swept
+    models only).  With ``track_convexity`` each row also carries the
+    running average of per-window divergences, an upper bound for the
+    divergence of the averaged estimate.
 
     Replicas whose oracle query cannot be answered (e.g. a renewal source
     with no reset letter in the window) are skipped.
@@ -176,7 +186,7 @@ def expected_divergence_curve(
             continue
         storage = chron[::-1]
         model = model_factory()
-        if not hasattr(model, "prepend"):
+        if not hasattr(model, "window_sweep"):
             for n in grid:
                 est = cesaro_estimate(model_factory(), SamplePath(storage[:n].copy()))
                 rows.append(
@@ -189,23 +199,27 @@ def expected_divergence_curve(
                     }
                 )
             continue
-        acc = model.predict().copy()
-        running_kl = kl_divergence(oracle, model.predict()) if track_convexity else 0.0
-        targets = set(grid)
-        for n in range(1, n_max + 1):
-            if n > 1:
-                model.prepend(int(storage[n - 2]))
-                pred = model.predict()
-                acc += pred
-                if track_convexity:
-                    running_kl += kl_divergence(oracle, pred)
-            if n in targets:
-                est = acc / n
-                window = chron[n_max - (n - 1) :]
-                if n > 1 and hasattr(model, "window_log2_marginal"):
+        acc = np.zeros(model.alphabet_size)
+        running_kl = 0.0
+        support = oracle > 0.0
+        targets = iter(grid)
+        n = next(targets)
+        for t0, preds, component_ll in model.window_sweep(storage, n_max):
+            sums = _running_sums(preds, acc)
+            acc = sums[-1]
+            if track_convexity:
+                p = oracle[support]
+                window_kl = (p * np.log2(p / preds[:, support])).sum(axis=1)
+                kl_sums = running_kl + np.cumsum(window_kl)
+                running_kl = kl_sums[-1]
+            while n is not None and n <= t0 + len(preds):
+                i = n - 1 - t0  # the window of length n - 1
+                est = sums[i] / n
+                if n > 1:
+                    window = chron[n_max - (n - 1) :]
                     redundancy = (
                         source.block_log2_probability(window)
-                        - model.window_log2_marginal()
+                        - model.log2_marginal(component_ll[i])
                     ) / (n - 1)
                 else:
                     redundancy = None
@@ -217,8 +231,9 @@ def expected_divergence_curve(
                     "model_redundancy_bits_per_symbol": redundancy,
                 }
                 if track_convexity:
-                    row["window_kl_average_bits"] = running_kl / n
+                    row["window_kl_average_bits"] = float(kl_sums[i]) / n
                 rows.append(row)
+                n = next(targets, None)
     return rows
 
 

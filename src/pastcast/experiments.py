@@ -59,6 +59,12 @@ __all__ = [
 ]
 
 
+# Cap on the projected model steps of a divergence curve whose model is
+# re-run for every window (lz78).  At the 12-13 us per step measured on a
+# 2-core host, the cap is about two minutes of work.
+QUADRATIC_CURVE_MAX_STEPS = 10_000_000
+
+
 def _replica_rng(master_seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=(int(r),)))
 
@@ -303,10 +309,10 @@ def run_estimate(config: ExperimentConfig, out_dir) -> dict:
     between them (mass off the symbol set counts fully).
     """
     t0 = time.perf_counter()
-    out = _mkdir(out_dir)
-    source = build_source(config.source)
     if config.estimator not in ("pattern",):
         raise ConfigError("estimator", "the estimate subcommand runs the pattern estimator")
+    out = _mkdir(out_dir)
+    source = build_source(config.source)
     m = source.alphabet_size
     args = [(config.to_dict(), r) for r in range(config.replicas)]
     per_replica = _map_replicas(_estimate_one, args, config.workers)
@@ -342,11 +348,25 @@ def run_estimate(config: ExperimentConfig, out_dir) -> dict:
 
 
 def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
-    """Cesàro-averaged model estimates scored in divergence against the oracle."""
+    """Cesàro-averaged model estimates scored in divergence against the oracle.
+
+    An ``lz78`` curve re-runs the model for every window, O(n^2) steps per
+    grid size, so it is refused up front when its projected step count
+    passes ``QUADRATIC_CURVE_MAX_STEPS``.
+    """
     t0 = time.perf_counter()
-    out = _mkdir(out_dir)
     if config.schedule.get("mode", "finite") == "real":
         raise ConfigError("schedule.mode", "divergence curves are finite-alphabet only")
+    if config.model == "lz78":
+        steps = config.replicas * sum(n * (n - 1) // 2 for n in config.n_grid)
+        if steps > QUADRATIC_CURVE_MAX_STEPS:
+            raise ConfigError(
+                "model",
+                f"lz78 re-runs the model for every window: {steps:,} projected model "
+                f"steps (replicas x sum of n(n-1)/2 over n_grid) exceed the cap of "
+                f"{QUADRATIC_CURVE_MAX_STEPS:,}",
+            )
+    out = _mkdir(out_dir)
     source = build_source(config.source)
     m = source.alphabet_size
     if config.model == "kt_mixture":
@@ -393,6 +413,20 @@ def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
 # predict
 
 
+def _check_predict(config: ExperimentConfig, source) -> None:
+    """The estimator and loss checks of ``predict``, which need the source."""
+    real_mode = config.schedule.get("mode", "finite") == "real"
+    if config.estimator not in ("pattern", "side_info"):
+        raise ConfigError("estimator", "predict runs the pattern or side_info estimator")
+    if config.estimator == "side_info":
+        if real_mode:
+            raise ConfigError("estimator", "side_info runs are finite-alphabet only")
+        if getattr(source, "n_states", None) is None or not hasattr(source, "generate_with_states"):
+            raise ConfigError("estimator", "side_info needs a source revealing a finite state")
+    if config.loss == "hamming" and real_mode:
+        raise ConfigError("loss", "hamming prediction needs a finite outcome space")
+
+
 def _predict_one(args):
     cfg_dict, r = args
     config = ExperimentConfig.from_dict(cfg_dict)
@@ -401,22 +435,14 @@ def _predict_one(args):
     space = outcome_space_for(config, source)
     real_mode = config.schedule.get("mode", "finite") == "real"
     n = max(config.n_grid)
-    if config.estimator not in ("pattern", "side_info"):
-        raise ConfigError("estimator", "predict runs the pattern or side_info estimator")
     side = config.estimator == "side_info"
     states = None
     if side:
-        if real_mode:
-            raise ConfigError("estimator", "side_info runs are finite-alphabet only")
-        if getattr(source, "n_states", None) is None or not hasattr(source, "generate_with_states"):
-            raise ConfigError("estimator", "side_info needs a source revealing a finite state")
         sym, states = source.generate_with_states(n, _replica_rng(config.seed, r))
     else:
         sym = source.generate(n, _replica_rng(config.seed, r))
 
     if config.loss == "hamming":
-        if real_mode:
-            raise ConfigError("loss", "hamming prediction needs a finite outcome space")
         outcomes = sym
         shown = [int(x) for x in sym]
         decide, loss = predict_class, hamming_loss
@@ -460,8 +486,9 @@ def _predict_one(args):
 def run_predict(config: ExperimentConfig, out_dir) -> dict:
     """Online predict-then-reveal runs; one CSV per replica."""
     t0 = time.perf_counter()
-    out = _mkdir(out_dir)
     source = build_source(config.source)
+    _check_predict(config, source)
+    out = _mkdir(out_dir)
     args = [(config.to_dict(), r) for r in range(config.replicas)]
     results = _map_replicas(_predict_one, args, config.workers)
     finals = []

@@ -10,9 +10,10 @@ Two concrete model families live here:
 * :class:`KTMixtureModel` — a Bayes mixture of add-1/2 Markov predictors
   of orders ``0..max_order`` with prior weights proportional to
   ``2**-order``.  Besides the usual chronological ``update``, it supports
-  ``prepend``: extending the consumed window at the *old* end in O(1)
-  bookkeeping per step, which the averaging estimator exploits to sweep
-  all window lengths of a path in one pass.
+  ``prepend`` (extending the consumed window at the *old* end in
+  O(max_order) bookkeeping) and :meth:`~KTMixtureModel.window_sweep`, which
+  yields its predictions after every suffix window of a path from array
+  operations, in blocks; the averaging estimator uses the sweep.
 * :class:`LZ78Model` — an incremental-parsing tree whose node statistics
   drive smoothed next-symbol predictions.
 
@@ -40,6 +41,34 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Windows per block of KTMixtureModel.window_sweep: its working arrays hold
+# O(SWEEP_BLOCK * (max_order + alphabet_size)) numbers, whatever the path.
+SWEEP_BLOCK = 1024
+
+
+def _earlier_counts(codes: np.ndarray, table: dict) -> np.ndarray:
+    """How often each code occurred before it, in ``table`` or in ``codes``.
+
+    ``table`` maps codes to their counts so far; it is brought up to date.
+    """
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    first = np.empty(codes.size, dtype=bool)
+    first[0] = True
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.empty_like(starts)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = codes.size - starts[-1]
+    keys = ranked[starts].tolist()
+    base = [table.get(k, 0) for k in keys]
+    for k, b, c in zip(keys, base, sizes.tolist()):
+        table[k] = b + c
+    # An entry's count is its table count plus its rank among equal codes.
+    out = np.empty(codes.size, dtype=np.int64)
+    out[order] = np.arange(codes.size) - np.repeat(starts - base, sizes)
+    return out
 
 
 class SequentialModel:
@@ -157,7 +186,9 @@ class KTMixtureModel(SequentialModel):
         ``a`` followed by the previous window chronologically would have
         produced: per component only one context observation appears (the
         first symbol old enough to gain a full-length context), so the
-        step costs O(max_order) dictionary updates.
+        step costs O(max_order) dictionary updates.  The averaging
+        estimator does not use it: :meth:`window_sweep` gives the same
+        predictions for every window length at once.
         """
         x = int(x)
         if not 0 <= x < self.alphabet_size:
@@ -173,6 +204,77 @@ class KTMixtureModel(SequentialModel):
         self._consumed += 1
         self._cached = None
 
+    def window_sweep(self, backward, n_windows: int):
+        """Predictions after each of the first ``n_windows`` suffix windows.
+
+        ``backward`` holds a path most recent first; window ``t`` is its
+        ``t`` most recent outcomes.  Yields ``(t0, preds, component_ll)``
+        for blocks of at most ``SWEEP_BLOCK`` windows ``t0, t0 + 1, ...``:
+        row ``i`` of ``preds`` is exactly what :meth:`predict` returns once
+        a blank model has consumed window ``t0 + i``, and row ``i`` of
+        ``component_ll`` holds that window's component log-likelihoods
+        (nats), as :meth:`log2_marginal` takes them.
+
+        Two facts make every quantity a running sum over the window axis.
+        The prediction context is the newest ``m`` outcomes whatever the
+        window length.  Growing the window by one outcome adds, per
+        component, one term ``log((c + 1/2) / (tot + A/2))``, where ``c``
+        and ``tot`` count the earlier occurrences of the new (m+1)-gram and
+        of its context.  Each term is taken with ``math.log`` on the same
+        float ratio and each sum with ``np.cumsum``, which adds left to
+        right, so the floats equal those of the step-by-step route.  Only
+        the last running sums and the count tables carry from one block to
+        the next, so the working arrays do not grow with the path.
+        """
+        if self._consumed:
+            raise InputError("the window sweep needs a blank model")
+        a, top, n_windows = self.alphabet_size, self.max_order, int(n_windows)
+        # The oldest outcome of the path never enters a window.
+        syms = np.asarray(backward)[: max(n_windows - 1, 0)].astype(np.int64)
+        bad = syms[(syms < 0) | (syms >= a)]
+        if bad.size:
+            raise InputError(f"symbol {bad[0]} outside alphabet of size {a}")
+        # Gram codes in base a, most recent symbol lowest; Python ints once
+        # a code could pass int64.
+        wide = syms if a ** (top + 1) < 2**63 else syms.astype(object)
+        target = [  # code of the prediction context, per order
+            sum(int(syms[i]) * a**i for i in range(m)) if m <= syms.size else -1
+            for m in range(top + 1)
+        ]
+        grams: list[dict] = [{} for _ in range(top + 1)]
+        contexts: list[dict] = [{} for _ in range(top + 1)]
+        ll = np.zeros(top + 1)
+        seen = np.zeros((top + 1, a), dtype=np.int64)  # counts after the context
+        orders = np.arange(top + 1)
+        log_a, half_a = math.log(a), a / 2.0
+        for t0 in range(0, n_windows, SWEEP_BLOCK):
+            t1 = min(t0 + SWEEP_BLOCK, n_windows)
+            terms = np.zeros((t1 - t0, top + 1))
+            counts = np.zeros((top + 1, t1 - t0, a), dtype=np.int64)
+            for m in range(top + 1):
+                # Window t gains the order-m gram starting t - m - 1 back.
+                lo, hi = max(t0 - m - 1, 0), max(t1 - m - 1, 0)
+                if lo < hi:
+                    code = sum(wide[lo + i : hi + i] * a**i for i in range(m + 1))
+                    ctx = code // a
+                    c = _earlier_counts(code, grams[m])
+                    tot = _earlier_counts(ctx, contexts[m]) if m else np.arange(lo, hi)
+                    rows = np.arange(lo, hi) + (m + 1 - t0)
+                    ratio = (c + 0.5) / (tot + half_a)
+                    terms[rows, m] = np.fromiter(map(math.log, ratio.tolist()), float, ratio.size)
+                    hit = np.asarray(ctx == target[m], dtype=bool)
+                    counts[m, rows[hit], syms[lo:hi][hit]] = 1
+                counts[m] = np.cumsum(counts[m], axis=0) + seen[m]
+                seen[m] = counts[m, -1]
+            ll_rows = np.cumsum(np.vstack([ll, terms]), axis=0)[1:]
+            ll = ll_rows[-1].copy()
+            component_ll = ll_rows - np.minimum(orders, np.arange(t0, t1)[:, None]) * log_a
+            preds = self._mix(component_ll, counts)
+            off = np.abs(preds.sum(axis=1) - 1.0) > 1e-12
+            if off.any():
+                preds[off] /= preds[off].sum(axis=1, keepdims=True)
+            yield t0, preds, component_ll
+
     # -- prediction -------------------------------------------------------
 
     def _component_log_likelihoods(self) -> np.ndarray:
@@ -182,29 +284,43 @@ class KTMixtureModel(SequentialModel):
 
     def window_log2_marginal(self) -> float:
         """log2 of the mixture's probability of the consumed window."""
-        ll = self._log_prior + self._component_log_likelihoods()
+        return self.log2_marginal(self._component_log_likelihoods())
+
+    def log2_marginal(self, component_ll) -> float:
+        """log2 of the mixture's probability of a window whose components
+        give it the natural-log likelihoods ``component_ll``."""
+        ll = self._log_prior + component_ll
         top = ll.max()
         return (top + math.log(np.exp(ll - top).sum())) / _LN2
+
+    def _mix(self, component_ll: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Mixture pmfs, one row per window.
+
+        ``component_ll`` is windows x orders; ``counts[m]`` holds, per
+        window, the symbol counts after the order-``m`` prediction context
+        (all zero gives the uniform law).  Row sums are numpy's own, so one
+        row gives the same floats as many.
+        """
+        ll = self._log_prior + component_ll
+        ll -= ll.max(axis=1, keepdims=True)
+        weights = np.exp(ll)
+        weights /= weights.sum(axis=1, keepdims=True)
+        half_a = self.alphabet_size / 2.0
+        p = np.zeros(counts.shape[1:])
+        for m in range(self.max_order + 1):
+            comp = (counts[m] + 0.5) / (counts[m].sum(axis=1, keepdims=True) + half_a)
+            p += weights[:, m, None] * comp
+        return p
 
     def _predict(self) -> np.ndarray:
         t = len(self._window)
         back = list(islice(reversed(self._window), min(self.max_order, t)))[::-1]
-        ll = self._log_prior + self._component_log_likelihoods()
-        ll -= ll.max()
-        weights = np.exp(ll)
-        weights /= weights.sum()
-        half_a = self.alphabet_size / 2.0
-        p = np.zeros(self.alphabet_size)
-        for m in range(self.max_order + 1):
-            depth = min(m, t)
-            ctx = tuple(back[len(back) - depth :]) if depth else ()
-            arr = self._counts[m].get(ctx)
-            if arr is None:
-                comp = np.full(self.alphabet_size, 1.0 / self.alphabet_size)
-            else:
-                comp = (arr + 0.5) / (arr.sum() + half_a)
-            p += weights[m] * comp
-        return p
+        counts = np.zeros((self.max_order + 1, 1, self.alphabet_size), dtype=np.int64)
+        for m in range(min(self.max_order, t) + 1):  # longer contexts are unseen
+            arr = self._counts[m].get(tuple(back[len(back) - m :]))
+            if arr is not None:
+                counts[m, 0] = arr
+        return self._mix(self._component_log_likelihoods()[None, :], counts)[0]
 
 
 class _Node:

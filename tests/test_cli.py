@@ -154,6 +154,49 @@ def test_predict_rejects_other_estimators(tmp_path, capsys, workers):
     assert not (out / "summary.json").exists()
 
 
+VALUED = {"preset": "markov_stay90", "values": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("estimate", {"estimator": "cesaro"}, "estimator"),
+        ("divergence-curve", {"source": VALUED, "schedule": {"mode": "real"}}, "schedule.mode"),
+        ("predict", {"estimator": "cesaro"}, "estimator"),
+        ("predict", {"estimator": "side_info"}, "estimator"),
+        ("predict", {"loss": "hamming", "source": VALUED, "schedule": {"mode": "real"}}, "loss"),
+    ],
+    ids=["estimate-cesaro", "curve-real", "predict-cesaro", "predict-side-info", "predict-hamming-real"],
+)
+def test_rejected_runs_leave_no_output_directory(tmp_path, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pastcast: {field}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_divergence_curve_refuses_quadratic_lz78(tmp_path, capsys):
+    cfg = write_config(tmp_path, estimator="cesaro", model="lz78", n_grid=[1_000, 100_000])
+    out = tmp_path / "lz"
+    assert main(["divergence-curve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    projected = 2 * (1_000 * 999 // 2 + 100_000 * 99_999 // 2)
+    assert err.startswith("pastcast: model: ") and err.count("\n") == 1
+    assert f"{projected:,} projected model steps" in err
+    assert not out.exists()
+
+
+def test_divergence_curve_runs_small_lz78(tmp_path):
+    cfg = write_config(tmp_path, estimator="cesaro", model="lz78", n_grid=[20, 60])
+    out = tmp_path / "lz"
+    assert main(["divergence-curve", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "divergence.csv")
+    assert [row[:2] for row in rows[1:]] == [["20", "0"], ["60", "0"], ["20", "1"], ["60", "1"]]
+    assert all(float(row[2]) >= 0.0 and row[4] == "" for row in rows[1:])
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "s1", tmp_path / "s2"

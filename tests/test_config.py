@@ -1,6 +1,7 @@
 """Experiment configuration: serialization, validation, schedule building."""
 
 import json
+import pickle
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -169,3 +170,9 @@ def test_readme_config_keys_are_fields():
     choices = dict(re.findall(r"`(\w+)` \(([^)]*)\)", listed))
     assert set(re.findall(r"`(\w+)`", choices["model"])) <= set(MODEL_KINDS)
     assert set(re.findall(r"`(\w+)`", choices["loss"])) <= set(LOSS_KINDS)
+
+
+def test_config_error_survives_pickling():
+    """Replica workers send errors back pickled; field and message stay apart."""
+    err = pickle.loads(pickle.dumps(ConfigError("estimator", "not here")))
+    assert (err.field, err.message, str(err)) == ("estimator", "not here", "estimator: not here")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pastcast import models
 from pastcast.divergence import (
     cesaro_estimate,
     expected_divergence_curve,
@@ -131,7 +132,7 @@ def test_cesaro_matches_exact_reference(chron, max_order):
 @settings(max_examples=15)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=10))
 def test_cesaro_generic_route_agrees_with_prepend_route(chron):
-    """A model without prepend takes the O(n^2) path; same average."""
+    """A model without a window sweep takes the O(n^2) path; same average."""
     p = SamplePath.from_chronological(chron)
     fast = cesaro_estimate(KTMixtureModel(2, max_order=1), p)
     slow_model = KTMixtureModel(2, max_order=1)
@@ -156,6 +157,36 @@ def test_cesaro_generic_route_agrees_with_prepend_route(chron):
     slow = cesaro_estimate(NoPrepend(), p)
     assert slow.pmf.tolist() == pytest.approx(fast.pmf.tolist(), abs=1e-12)
     assert callable(del_prepend)  # silence the unused-name lint
+
+
+def prepend_cesaro(alphabet, order, backward, n):
+    """Cesàro mean over windows 0..n-1, one prepend and predict per window."""
+    m = KTMixtureModel(alphabet, max_order=order)
+    acc = m.predict().copy()
+    for t in range(1, n):
+        m.prepend(int(backward[t - 1]))
+        acc += m.predict()
+    return acc / n
+
+
+@pytest.mark.parametrize("order", range(6))
+@pytest.mark.parametrize("alphabet", [2, 3, 4])
+def test_cesaro_sweep_equals_prepend_loop(monkeypatch, alphabet, order):
+    monkeypatch.setattr(models, "SWEEP_BLOCK", 16)
+    rng = np.random.default_rng(7 * alphabet + order)
+    back = np.concatenate([rng.integers(0, alphabet, 30), np.repeat(rng.integers(0, alphabet, 4), 6)])
+    for n in (1, 2, 15, 16, 17, back.size):
+        est = cesaro_estimate(KTMixtureModel(alphabet, max_order=order), SamplePath(back[:n]))
+        assert est.pmf.tolist() == prepend_cesaro(alphabet, order, back, n).tolist()
+
+
+def test_cesaro_sweep_equals_prepend_loop_at_block_size():
+    block = models.SWEEP_BLOCK
+    chron = get_preset("markov_stay90").generate(2 * block + 5, np.random.default_rng(2))
+    back = chron[::-1]
+    for n in (block - 1, block, block + 1, back.size):
+        est = cesaro_estimate(KTMixtureModel(2, max_order=3), SamplePath(back[:n]))
+        assert est.pmf.tolist() == prepend_cesaro(2, 3, back, n).tolist()
 
 
 def test_cesaro_handles_lz78():
@@ -190,6 +221,54 @@ def test_curve_rows_match_direct_cesaro():
             assert row["variational"] == pytest.approx(
                 variational_distance(oracle, est.pmf), abs=1e-12
             )
+
+
+def replica_path(src, n, seed, r):
+    return src.generate(n, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,))))
+
+
+def test_curve_rows_equal_prepend_route(monkeypatch):
+    monkeypatch.setattr(models, "SWEEP_BLOCK", 16)
+    src, grid, n_max = get_preset("markov_stay90"), [1, 15, 16, 17, 40], 40
+    rows = expected_divergence_curve(
+        src, lambda: KTMixtureModel(2, max_order=2), grid, replicas=2, seed=9
+    )
+    assert [(r["replica"], r["n"]) for r in rows] == [(r, n) for r in (0, 1) for n in grid]
+    for row in rows:
+        chron = replica_path(src, n_max, 9, row["replica"])
+        oracle = src.conditional(chron)
+        n, back = row["n"], chron[::-1]
+        est = prepend_cesaro(2, 2, back, n)
+        assert row["kl_bits"] == kl_divergence(oracle, est)
+        assert row["variational"] == variational_distance(oracle, est)
+        if n == 1:
+            assert row["model_redundancy_bits_per_symbol"] is None
+            continue
+        m = KTMixtureModel(2, max_order=2)
+        for x in back[: n - 1]:
+            m.prepend(int(x))
+        window_bits = src.block_log2_probability(chron[n_max - (n - 1) :])
+        expect = (window_bits - m.window_log2_marginal()) / (n - 1)
+        assert row["model_redundancy_bits_per_symbol"] == expect
+
+
+@pytest.mark.parametrize("preset", ["markov_stay90", "periodic01"])
+def test_curve_window_kl_average_matches_per_window_sum(monkeypatch, preset):
+    """The periodic oracle puts no mass on one symbol, which the sum skips."""
+    monkeypatch.setattr(models, "SWEEP_BLOCK", 16)
+    src, grid, n_max = get_preset(preset), [1, 16, 17, 50], 50
+    rows = expected_divergence_curve(
+        src, lambda: KTMixtureModel(2, max_order=3), grid, 2, seed=4, track_convexity=True
+    )
+    for row in rows:
+        chron = replica_path(src, n_max, 4, row["replica"])
+        oracle = src.conditional(chron)
+        m = KTMixtureModel(2, max_order=3)
+        total = kl_divergence(oracle, m.predict())
+        for x in chron[::-1][: row["n"] - 1]:
+            m.prepend(int(x))
+            total += kl_divergence(oracle, m.predict())
+        assert row["window_kl_average_bits"] == pytest.approx(total / row["n"], abs=1e-12)
 
 
 def test_curve_redundancy_and_convexity_fields():

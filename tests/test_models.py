@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pastcast import models
 from pastcast.errors import InputError
 from pastcast.models import KTMixtureModel, LZ78Model, compound_model
 
@@ -130,6 +131,81 @@ def test_kt_validation():
     m = KTMixtureModel(2, max_order=1)
     with pytest.raises(InputError):
         m.prepend(5)
+
+
+# ---------------------------------------------------------------------------
+# KT window sweep against one prepend at a time
+
+
+def mixed_backward_path(alphabet, n, seed):
+    """Random, then periodic, then sticky stretches: many repeated grams."""
+    rng = np.random.default_rng(seed)
+    third = n // 3 + 1
+    periodic = np.tile(rng.integers(0, alphabet, 5), third // 5 + 1)[:third]
+    sticky = np.repeat(rng.integers(0, alphabet, third // 7 + 1), 7)[:third]
+    return np.concatenate([rng.integers(0, alphabet, third), periodic, sticky])[:n]
+
+
+def prepend_route(alphabet, order, backward, n):
+    """Predictions and component log-likelihoods after windows 0..n-1."""
+    m = KTMixtureModel(alphabet, max_order=order)
+    preds, lls = [], []
+    for t in range(n):
+        if t:
+            m.prepend(int(backward[t - 1]))
+        preds.append(m.predict().tolist())
+        lls.append(m._component_log_likelihoods().tolist())
+    return preds, lls
+
+
+def swept(alphabet, order, backward, n):
+    blocks = list(KTMixtureModel(alphabet, max_order=order).window_sweep(backward, n))
+    assert [t0 for t0, _, _ in blocks] == list(range(0, n, models.SWEEP_BLOCK))
+    preds = [row for _, p, _ in blocks for row in p.tolist()]
+    lls = [row for _, _, ll in blocks for row in ll.tolist()]
+    return preds, lls
+
+
+@pytest.mark.parametrize(
+    "alphabet, order", [(a, m) for a in (2, 3, 4) for m in range(6)] + [(2, 8), (3, 12)]
+)
+def test_kt_window_sweep_equals_prepend(monkeypatch, alphabet, order):
+    """Bit for bit, with blocks small enough to cross several boundaries.
+
+    From order 7 on the mixture has eight or more weights, which numpy
+    sums pairwise rather than left to right.
+    """
+    monkeypatch.setattr(models, "SWEEP_BLOCK", 16)
+    back = mixed_backward_path(alphabet, 3 * 16 + 5, seed=10 * alphabet + order)
+    preds, lls = prepend_route(alphabet, order, back, back.size)
+    for n in (0, 1, 15, 16, 17, back.size):
+        assert swept(alphabet, order, back, n) == (preds[:n], lls[:n])
+
+
+@pytest.mark.parametrize("alphabet, order", [(2, 3), (4, 5)])
+def test_kt_window_sweep_equals_prepend_at_block_size(alphabet, order):
+    block = models.SWEEP_BLOCK
+    back = mixed_backward_path(alphabet, 2 * block + 5, seed=alphabet + order)
+    preds, lls = prepend_route(alphabet, order, back, back.size)
+    for n in (block - 1, block, block + 1, back.size):
+        assert swept(alphabet, order, back, n) == (preds[:n], lls[:n])
+
+
+def test_kt_window_sweep_wide_gram_codes():
+    """4**34 passes int64, so gram codes are Python ints; same floats."""
+    back = mixed_backward_path(4, 120, seed=3)
+    assert swept(4, 33, back, back.size) == prepend_route(4, 33, back, back.size)
+
+
+def test_kt_window_sweep_validation():
+    m = KTMixtureModel(2, max_order=1)
+    with pytest.raises(InputError):
+        next(m.window_sweep([0, 2, 1], 3))
+    # the oldest outcome never enters a window, as with prepend
+    assert len(next(m.window_sweep([0, 1, 5], 3))[1]) == 3
+    m.update(1)
+    with pytest.raises(InputError):
+        next(m.window_sweep([0, 1], 2))
 
 
 # ---------------------------------------------------------------------------
