@@ -73,8 +73,7 @@ def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerows(rows)  # None is written as an empty field
 
 
 def _write_summary(out_dir, config, metrics, oracle_targets, runtime_seconds) -> dict:
@@ -112,11 +111,13 @@ def _oracle_targets(source) -> dict:
     return targets
 
 
-def _map_replicas(fn, args, workers: int) -> list:
+def _map_replicas(fn, args, workers: int):
+    """``fn`` over ``args``, yielding each result in order as it is ready."""
     if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
+        yield from map(fn, args)
+        return
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, args))
+        yield from ex.map(fn, args)
 
 
 def _mkdir(out_dir) -> Path:
@@ -444,17 +445,17 @@ def _predict_one(args):
 
     if config.loss == "hamming":
         outcomes = sym
-        shown = [int(x) for x in sym]
+        shown = sym.tolist()
         decide, loss = predict_class, hamming_loss
     else:
         values = source.numeric_values()
         if real_mode:
             outcomes = source.numeric_path(sym)
-            shown = [float(x) for x in outcomes]
+            shown = outcomes.tolist()
             decide, loss = predict_regression, lambda x, a: (float(x) - a) ** 2
         else:
             outcomes = sym
-            shown = [float(values[int(x)]) for x in sym]
+            shown = source.numeric_path(sym).tolist()
             decide = lambda est: predict_regression(est, values)  # noqa: E731
             loss = lambda x, a: (float(values[int(x)]) - a) ** 2  # noqa: E731
 
@@ -475,11 +476,15 @@ def _predict_one(args):
         ledger = run_online_side_info(outcomes, states, estimator, decide, loss)
     else:
         ledger = run_online(outcomes, OnlinePatternEstimator(space, schedule), decide, loss)
-    running = ledger.running_average
-    rows = [
-        [t, ledger.predictions[t], shown[t], ledger.losses[t], running[t]]
-        for t in range(ledger.n_steps)
-    ]
+    rows = list(
+        zip(
+            range(ledger.n_steps),
+            ledger.predictions.tolist(),
+            shown,
+            ledger.losses.tolist(),
+            ledger.running_average.tolist(),
+        )
+    )
     return rows, ledger.summary()
 
 
@@ -490,15 +495,17 @@ def run_predict(config: ExperimentConfig, out_dir) -> dict:
     _check_predict(config, source)
     out = _mkdir(out_dir)
     args = [(config.to_dict(), r) for r in range(config.replicas)]
-    results = _map_replicas(_predict_one, args, config.workers)
     finals = []
     per_replica = {}
-    for r, (rows, summary) in enumerate(results):
+    for rows, summary in _map_replicas(_predict_one, args, config.workers):
+        r = len(finals)
         _write_csv(
             out / f"online_r{r}.csv",
             ["t", "prediction", "outcome", "loss", "running_avg"],
             rows,
         )
+        # Freed before the next replica runs; enumerate() would hold them.
+        del rows
         finals.append(summary["final_avg_loss"])
         per_replica[str(r)] = summary
     metrics = {

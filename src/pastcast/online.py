@@ -13,6 +13,15 @@ produce on the past-so-far.  On a finite alphabet the law is read from
 the index's symbol counts of the last ``J`` occurrences, O(m) per step
 for ``m`` symbols; on the interval hierarchy it is the ``J`` sample atoms
 the index returns.
+
+:func:`run_online` computes a whole run from arrays when it is handed a
+fresh estimator over an :class:`~pastcast.quantize.Alphabet`: one stable
+sort of the context codes per stretch of constant ``(k, ell, J)`` gives
+every step's counts at once, and ``decide`` and ``loss`` are called once
+per distinct law and once per distinct (law, outcome) pair.  The results
+equal the step-by-step loop's for any deterministic ``decide`` and
+``loss``.  Real-valued spaces, side-info runs and estimators that have
+already seen data take the loop.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .estimators import (
@@ -316,7 +326,18 @@ def run_online(outcomes, estimator: OnlinePatternEstimator, decide, loss) -> Los
     ``decide`` maps an estimated law to an action; ``loss`` prices an
     action against the revealed outcome.  The estimate at step ``t`` is
     computed strictly from outcomes ``0 .. t-1``.
+
+    A fresh estimator (``n == 0``) over an
+    :class:`~pastcast.quantize.Alphabet` takes the array route: the run is
+    computed from the encoded outcomes in one pass per schedule regime,
+    ``decide`` is called once per distinct law and ``loss`` once per
+    distinct (law, outcome symbol) pair, so both must be deterministic.
+    ``loss`` gets the first outcome seen with each symbol.  That route
+    leaves the estimator as it was handed over.  Every other estimator is
+    advanced step by step through the run.
     """
+    if estimator.n == 0 and isinstance(estimator.space, Alphabet):
+        return _sweep_online(outcomes, estimator.space, estimator.schedule, decide, loss)
     preds: list[float] = []
     seen: list = []
     losses: list[float] = []
@@ -330,6 +351,119 @@ def run_online(outcomes, estimator: OnlinePatternEstimator, decide, loss) -> Los
         losses.append(loss(x, a))
         estimator.update(x)
     return LossLedger(np.asarray(preds), np.asarray(seen, dtype=float), np.asarray(losses), defaults)
+
+
+def _sweep_online(outcomes, alphabet: Alphabet, schedule: Schedule, decide, loss) -> LossLedger:
+    """:func:`run_online` from arrays, for a fresh estimator on an alphabet.
+
+    While ``(k, ell, J)`` holds, the law at step ``t`` comes from the
+    symbols that followed the last ``J`` earlier occurrences of the
+    ``ell``-gram ending at ``t - 1``.  A stable sort of the gram codes
+    lines up each gram's occurrences oldest first, so an occurrence's
+    rank is its count of earlier ones, and running symbol counts over the
+    sorted order give the counts of any ``J`` consecutive occurrences as
+    the difference of two rows: the index's prefix rows, for the whole run.
+    """
+    seen = outcomes if isinstance(outcomes, np.ndarray) else list(outcomes)
+    codes = alphabet.encode(seen, 1)
+    if codes.ndim != 1:
+        raise InputError("online outcomes must form a one-dimensional sequence")
+    n, m = codes.size, alphabet.size
+    # Law index of every step; -1 marks the schedule's default law.
+    law = np.full(n, -1, dtype=np.int64)
+    actions: list = []
+    # Counts row -> law; a row sums to its J, so it fixes the law.
+    law_index: dict[bytes, int] = {}
+    for start, stop, (_, ell, j) in _regimes(schedule, n):
+        # Step t's context is the gram starting at t - ell, and its law needs
+        # J earlier occurrences.  The grams starting before stop - ell all
+        # have their following symbol inside the run.
+        if stop - ell <= max(start - ell, j):
+            continue
+        # Arrays are dropped (del) as soon as they are spent; left alive,
+        # they would set the run's peak memory.
+        grams = _row_ids(sliding_window_view(codes[: stop - 1], ell), m)
+        order = np.argsort(grams, kind="stable")
+        grams = grams[order]
+        rank = np.arange(order.size)
+        rank -= np.maximum.accumulate(np.where(np.r_[True, grams[1:] != grams[:-1]], rank, 0))
+        del grams
+        at = np.flatnonzero((rank >= j) & (order >= start - ell))
+        del rank
+        follow = codes[order + ell]
+        steps = order[at] + ell
+        del order
+        counts = np.empty((at.size, m), dtype=np.int64)
+        for sym in range(m):
+            running = np.r_[0, np.cumsum(follow == sym)]
+            counts[:, sym] = running[at] - running[at - j]
+        del follow, running
+        _, first, inverse = np.unique(_row_ids(counts, j + 1), return_index=True, return_inverse=True)
+        ids = np.empty(first.size, dtype=np.int64)
+        for i, row in enumerate(counts[first]):
+            key = row.tobytes()
+            if key not in law_index:
+                law_index[key] = len(actions)
+                actions.append(decide(ConditionalDistribution.finite(row / j)))
+            ids[i] = law_index[key]
+        law[steps] = ids[inverse.ravel()]
+    defaults = law < 0
+    defaults_used = int(np.count_nonzero(defaults))
+    if defaults_used:
+        law[defaults] = len(actions)
+        actions.append(decide(schedule.default()))
+    del defaults
+    # One loss per (law, outcome symbol) pair that occurs, priced against
+    # the first outcome seen with that symbol.
+    pairs = law * m + codes
+    priced = np.zeros(len(actions) * m)
+    for pair in np.flatnonzero(np.bincount(pairs, minlength=priced.size)).tolist():
+        sym = pair % m
+        priced[pair] = loss(seen[int(np.argmax(codes == sym))], actions[pair // m])
+    return LossLedger(
+        np.asarray(actions)[law], np.asarray(seen, dtype=float), priced[pairs], defaults_used
+    )
+
+
+def _regimes(schedule: Schedule, n: int):
+    """``(start, stop, (k, ell, J))`` for the stretches of steps ``0 .. n-1``
+    whose past lengths share one schedule triple.
+
+    The level ``k(n)`` never falls as ``n`` grows, so each change point is
+    found by bisection.
+    """
+    start = 0
+    while start < n:
+        params = truncated_parameters(schedule, start)
+        lo, hi = start, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if truncated_parameters(schedule, mid) == params:
+                lo = mid
+            else:
+                hi = mid
+        yield start, hi, params
+        start = hi
+
+
+def _row_ids(rows: np.ndarray, base: int) -> np.ndarray:
+    """One id per row of non-negative digits below ``base``, equal exactly
+    for equal rows.
+
+    Rows are read as base-``base`` numbers, a column at a time; whenever
+    the next digit could overflow int64, the ids are first renumbered
+    densely, which keeps them below the number of rows.
+    """
+    ids = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # ids lie in [0, span)
+    for digit in rows.T:
+        if span * base > 2**62:
+            ids = np.unique(ids, return_inverse=True)[1].reshape(-1)
+            span = len(rows)
+        ids *= base
+        ids += digit
+        span *= base
+    return ids
 
 
 def run_online_side_info(

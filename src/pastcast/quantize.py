@@ -62,14 +62,20 @@ class Alphabet:
 
     def quantize(self, x, k: int) -> int:
         """Identity on symbol indices; ``k`` is ignored by construction."""
-        i = int(x)
-        if i != x or not 0 <= i < self.size:
-            raise InputError(f"{x!r} is not a symbol index in [0, {self.size})")
-        return i
+        try:
+            i = int(x)
+            if i == x and 0 <= i < self.size:
+                return i
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise InputError(f"{x!r} is not a symbol index in [0, {self.size})")
 
     def encode(self, xs, k: int) -> np.ndarray:
         arr = np.asarray(xs)
-        codes = arr.astype(np.int64)
+        try:
+            codes = arr.astype(np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("path values must be symbol indices for this alphabet") from None
         if not np.array_equal(codes, arr) or (
             codes.size and (codes.min() < 0 or codes.max() >= self.size)
         ):

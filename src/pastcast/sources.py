@@ -199,6 +199,8 @@ class MarkovSource(_SourceBase):
             raise InputError("values must align with the alphabet")
         self._ctx_pi = _stationary_distribution(self._lifted_chain())
         self._cum = np.cumsum(T, axis=1)
+        # math.log2 of every transition, -inf where it is impossible.
+        self._log2_T = np.array([[math.log2(p) if p > 0.0 else -math.inf for p in row] for row in T])
 
     def _lifted_chain(self) -> np.ndarray:
         m, K = self.alphabet_size, self.order
@@ -293,22 +295,25 @@ class MarkovSource(_SourceBase):
         return float(total)
 
     def block_log2_probability(self, block) -> float:
-        block = tuple(int(s) for s in block)
+        block = np.asarray(block, dtype=np.int64)
         K, m = self.order, self.alphabet_size
-        if len(block) < K:
+        if block.size < K:
             p = self.block_probability(block)
             return math.log2(p) if p > 0.0 else -math.inf
-        ctx = self._ctx_index(block[:K])
-        if self._ctx_pi[ctx] <= 0.0:
+        start = self._ctx_pi[self._ctx_index(block[:K])]
+        if start <= 0.0:
             return -math.inf
-        total = math.log2(self._ctx_pi[ctx])
-        for s in block[K:]:
-            step = self.transition[ctx, s]
-            if step <= 0.0:
-                return -math.inf
-            total += math.log2(step)
-            ctx = (ctx * m + s) % (m**K)
-        return total
+        # Flat table index of every later symbol: the K symbols before it,
+        # then the symbol itself, read as one base-m number.
+        idx = np.zeros(block.size - K, dtype=np.int64)
+        for i in range(K + 1):
+            idx *= m
+            idx += block[i : i + idx.size]
+        terms = np.empty(idx.size + 1)
+        terms[0] = math.log2(start)
+        np.take(self._log2_T, idx, out=terms[1:])
+        # cumsum adds left to right, in the order of the chain rule.
+        return float(np.cumsum(terms, out=terms)[-1])
 
     def entropy_rate(self) -> EntropyRateResult:
         h = sum(

@@ -217,6 +217,39 @@ def ref_markov_block_prob(transition, stationary, symbols):
     return p
 
 
+def ref_markov_block_log2(transition, context_law, order, symbols):
+    """log2 block mass of an order-``order`` chain, one symbol at a time.
+
+    ``context_law[c]`` is the stationary mass of the length-``order``
+    context with big-endian code ``c`` (oldest symbol most significant).
+    Impossible blocks give -inf; a block shorter than the order sums the
+    mass of the contexts it begins.
+    """
+    symbols = [int(s) for s in symbols]
+    m = len(transition[0])
+    n_ctx = m**order
+    if len(symbols) < order:
+        total = 0.0
+        for ctx in range(n_ctx):
+            digits = [(ctx // m ** (order - 1 - i)) % m for i in range(order)]
+            if digits[: len(symbols)] == symbols:
+                total += context_law[ctx]
+        return math.log2(total) if total > 0.0 else -math.inf
+    ctx = 0
+    for s in symbols[:order]:
+        ctx = ctx * m + s
+    if context_law[ctx] <= 0.0:
+        return -math.inf
+    total = math.log2(context_law[ctx])
+    for s in symbols[order:]:
+        step = transition[ctx][s]
+        if step <= 0.0:
+            return -math.inf
+        total += math.log2(step)
+        ctx = (ctx * m + s) % n_ctx
+    return total
+
+
 def ref_hmm_block_prob(state_transition, emission, state_pi, symbols):
     """Sum over every hidden state path (exponential; keep blocks short)."""
     n_states = len(state_pi)

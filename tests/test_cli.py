@@ -259,6 +259,31 @@ def test_predict_artifacts_and_worker_parity(tmp_path):
     assert len(rows) - 1 == 400
 
 
+def test_predict_writes_each_replica_before_the_next(tmp_path, monkeypatch):
+    """A replica's rows are written and freed before the next replica runs."""
+    from pastcast import experiments
+
+    events = []
+    predict_one = experiments._predict_one
+
+    class Rows(list):
+        def __del__(self):
+            events.append(("freed", self.replica))
+
+    def traced(args):
+        events.append(("run", args[1]))
+        rows, summary = predict_one(args)
+        rows = Rows(rows)
+        rows.replica = args[1]
+        return rows, summary
+
+    monkeypatch.setattr(experiments, "_predict_one", traced)
+    cfg = write_config(tmp_path, n_grid=[50], replicas=3, loss="hamming")
+    assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert events == [("run", 0), ("freed", 0), ("run", 1), ("freed", 1), ("run", 2), ("freed", 2)]
+    assert len(read_csv(tmp_path / "out" / "online_r2.csv")) == 51
+
+
 def test_report_empty_dir_is_ok(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out

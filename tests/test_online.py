@@ -12,6 +12,7 @@ from pastcast.estimators import (
     RealValuedSchedule,
     estimate_truncated,
     estimate_with_side_info,
+    truncated_parameters,
 )
 from pastcast.online import (
     LossLedger,
@@ -29,7 +30,7 @@ from pastcast.online import (
 )
 from pastcast.quantize import Alphabet
 from pastcast.recurrence import SamplePath
-from pastcast.sources import HMMSource, MarkovSource, get_preset
+from pastcast.sources import HMMSource, MarkovSource, PeriodicSource, get_preset
 
 BIN = Alphabet.of_size(2)
 TRI = Alphabet.of_size(3)
@@ -190,6 +191,140 @@ def test_online_accepts_generators():
     )
     assert as_list.outcomes.tolist() == as_gen.outcomes.tolist()
     assert as_list.losses.tolist() == as_gen.losses.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the array route of run_online == the step-by-step loop
+
+
+def _stepwise(chron, alphabet, schedule, decide, loss):
+    """Predictions, losses and default count of the per-step loop.
+
+    Driven here, estimate by estimate, so the array route cannot stand in
+    for it.
+    """
+    est = OnlinePatternEstimator(alphabet, schedule)
+    preds, losses, defaults = [], [], 0
+    for x in chron:
+        law = est.current_estimate()
+        defaults += law.default_used
+        a = decide(law)
+        preds.append(a)
+        losses.append(loss(x, a))
+        est.update(x)
+    return np.asarray(preds, dtype=float).tolist(), np.asarray(losses, dtype=float).tolist(), defaults
+
+
+def _assert_sweep_equals_loop(chron, alphabet, schedule, decide=predict_class, loss=hamming_loss):
+    """The array route equals the loop, on the sequence and on a generator."""
+    preds, losses, defaults = _stepwise(chron, alphabet, schedule, decide, loss)
+    for outcomes in (chron, (x for x in chron)):
+        est = OnlinePatternEstimator(alphabet, schedule)
+        ledger = run_online(outcomes, est, decide, loss)
+        assert ledger.predictions.tolist() == preds
+        assert ledger.losses.tolist() == losses
+        assert ledger.defaults_used == defaults
+        assert ledger.outcomes.tolist() == [float(x) for x in chron]
+        assert est.n == 0  # the array route leaves the estimator untouched
+    return ledger
+
+
+def _sticky_chain(m, stay, seed):
+    """An order-1 chain on ``m`` symbols that repeats its last symbol with
+    probability ``stay`` and otherwise moves by a random row."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(m), size=m) * (1.0 - stay) + stay * np.eye(m)
+    return MarkovSource(rows / rows.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("budget", [0.25, 1.0])
+@pytest.mark.parametrize("epsilon", [0.5, 0.75])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_online_sweep_equals_loop(m, epsilon, budget):
+    chron = _sticky_chain(m, 0.6, seed=m).generate(3_000, seed=17).tolist()
+    sched = FiniteAlphabetSchedule(m, epsilon=epsilon, budget_fraction=budget)
+    ledger = _assert_sweep_equals_loop(chron, Alphabet.of_size(m), sched)
+    assert ledger.defaults_used < len(chron)
+
+
+@pytest.mark.parametrize("n", [1_024, 1_025])
+def test_online_sweep_equals_loop_at_rekey(n):
+    """Paths that end on the last step before a re-key and on the first after."""
+    sched = FiniteAlphabetSchedule(2, epsilon=0.5)
+    assert truncated_parameters(sched, 1_023) != truncated_parameters(sched, 1_024)
+    chron = get_preset("markov_stay90").generate(n, seed=4).tolist()
+    _assert_sweep_equals_loop(chron, BIN, sched)
+
+
+@pytest.mark.parametrize(
+    "source, m, rate",
+    [
+        (get_preset("periodic01"), 2, 0.05),
+        (_sticky_chain(2, 0.98, seed=1), 2, 0.05),
+        (PeriodicSource((0, 1, 2)), 3, 0.1),
+        (_sticky_chain(3, 0.98, seed=2), 3, 0.1),
+    ],
+)
+def test_online_sweep_equals_loop_on_wide_grams(source, m, rate):
+    """A low ``known_rate`` drives the context past 64 bits of gram code."""
+    n = 1_500
+    sched = FiniteAlphabetSchedule(m, epsilon=0.5, known_rate=rate)
+    ell = truncated_parameters(sched, n - 1)[1]
+    assert m**ell > 2**63
+    chron = source.generate(n, seed=9).tolist()
+    ledger = _assert_sweep_equals_loop(chron, Alphabet.of_size(m), sched)
+    assert ledger.defaults_used < n - 200  # laws were read at wide contexts
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.75])
+def test_online_sweep_equals_loop_on_periodic_source(epsilon):
+    chron = get_preset("periodic01").generate(2_000, seed=3).tolist()
+    sched = FiniteAlphabetSchedule(2, epsilon=epsilon, budget_fraction=0.25)
+    ledger = _assert_sweep_equals_loop(chron, BIN, sched)
+    assert ledger.tail_average(0.5) == 0.0
+
+
+def test_online_sweep_equals_loop_on_regression_lambdas():
+    """The decision and loss of criterion 10, step for step."""
+    src = get_preset("markov_stay90", values=[-1.0, 1.0])
+    values = src.numeric_values()
+    chron = src.generate(5_000, seed=6)
+    sched = FiniteAlphabetSchedule(2, epsilon=0.75, budget_fraction=0.25)
+    _assert_sweep_equals_loop(
+        chron,
+        src.alphabet(),
+        sched,
+        lambda e: predict_regression(e, values),
+        lambda x, a: (float(values[int(x)]) - a) ** 2,
+    )
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 2], [0, -1], [0, 0.5], ["a", 0], [None, 1]])
+def test_online_sweep_rejects_non_symbols(bad):
+    sched = FiniteAlphabetSchedule(2, epsilon=0.5)
+    with pytest.raises(InputError):
+        run_online(bad, OnlinePatternEstimator(BIN, sched), predict_class, hamming_loss)
+    with pytest.raises(InputError):
+        run_online(iter(bad), OnlinePatternEstimator(BIN, sched), predict_class, hamming_loss)
+    advanced = OnlinePatternEstimator(BIN, sched)
+    advanced.update(0)
+    with pytest.raises(InputError):  # the step-by-step loop rejects them too
+        run_online(bad, advanced, predict_class, hamming_loss)
+
+
+def test_run_online_continues_an_advanced_estimator_step_by_step():
+    """An estimator that has seen data keeps the loop and picks up where it
+    stopped, matching the array route over the whole path."""
+    chron = get_preset("markov_stay90").generate(600, seed=12).tolist()
+    sched = FiniteAlphabetSchedule(2, epsilon=0.5)
+    whole = run_online(chron, OnlinePatternEstimator(BIN, sched), predict_class, hamming_loss)
+    est = OnlinePatternEstimator(BIN, sched)
+    for x in chron[:100]:
+        est.update(x)
+    rest = run_online(chron[100:], est, predict_class, hamming_loss)
+    assert est.n == len(chron)
+    assert rest.predictions.tolist() == whole.predictions[100:].tolist()
+    assert rest.losses.tolist() == whole.losses[100:].tolist()
 
 
 # ---------------------------------------------------------------------------

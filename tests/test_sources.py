@@ -18,7 +18,7 @@ from pastcast.sources import (
     get_preset,
 )
 
-from _reference import ref_hmm_block_prob, ref_markov_block_prob
+from _reference import ref_hmm_block_prob, ref_markov_block_log2, ref_markov_block_prob
 
 
 def h2(p):
@@ -113,6 +113,43 @@ def test_markov_order2():
     for x in (0, 1):
         ratio = src.block_probability([0, x]) / src.block_probability([0])
         assert short[x] == pytest.approx(ratio, rel=1e-12)
+
+
+MARKOV_LOG2_CHAINS = [
+    pytest.param([[0.5, 0.3, 0.2]], 0, id="order0"),
+    pytest.param([[0.9, 0.1], [0.1, 0.9]], 1, id="stay90"),
+    pytest.param([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]], 1, id="zero-steps"),
+    pytest.param([[1.0, 0.0], [0.5, 0.5]], 1, id="zero-start"),
+    # context 11 never occurs: 01 is always followed by 0
+    pytest.param([[0.2, 0.8], [1.0, 0.0], [0.6, 0.4], [0.3, 0.7]], 2, id="order2-zero-start"),
+    pytest.param(
+        np.random.default_rng(3).dirichlet(np.ones(3), size=9).tolist(), 2, id="order2-ternary"
+    ),
+]
+
+
+@pytest.mark.parametrize("transition, order", MARKOV_LOG2_CHAINS)
+def test_markov_block_log2_equals_symbol_loop(transition, order):
+    """The table-and-cumsum block mass equals the chain rule, bit for bit."""
+    src = MarkovSource(transition, order=order)
+    m = src.alphabet_size
+    # stationary mass of each length-order context, by big-endian code
+    law = [
+        src.block_probability([(c // m ** (order - 1 - i)) % m for i in range(order)])
+        for c in range(m**order)
+    ]
+    rng = np.random.default_rng(order + m)
+    blocks = [b for length in range(order + 3) for b in all_blocks(m, length)]
+    blocks += [rng.integers(0, m, size=size).tolist() for size in (5, 40, 40, 300)]
+    blocks += [src.generate(size, seed=size).tolist() for size in (3, 100, 10_000)]
+    impossible = 0
+    for block in blocks:
+        want = ref_markov_block_log2(transition, law, order, block)
+        assert src.block_log2_probability(block) == want
+        assert src.block_log2_probability(np.asarray(block, dtype=np.int64)) == want
+        impossible += want == -math.inf
+    if 0.0 in law or 0.0 in np.asarray(transition):
+        assert impossible  # the -inf cases were reached
 
 
 def test_markov_validation():
