@@ -292,21 +292,31 @@ class KacRow:
 
 
 def _first_recurrence_taus(storage: np.ndarray, k: int) -> np.ndarray:
-    """First backward recurrence offset per row (0 marks none found)."""
+    """First backward recurrence offset per row (0 marks none found).
+
+    As in :func:`_search`, offsets are compared a window at a time, each
+    window four times wider than the last, and only rows still without a
+    match go on to the next window.
+    """
     n_rows, path_length = storage.shape
-    block = storage[:, :k]
+    last = path_length - k
     tau = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
-    for t in range(1, path_length - k + 1):
-        if active.size == 0:
-            break
-        hit = (storage[active, t : t + k] == block[active]).all(axis=1)
-        tau[active[hit]] = t
-        active = active[~hit]
+    lo, width = 1, 64
+    while active.size and lo <= last:
+        hi = min(last, lo + width - 1)
+        rows = storage[active, : hi + k]
+        hit = np.ones((active.size, hi + 1 - lo), dtype=bool)
+        for i in range(k):
+            hit &= rows[:, lo + i : hi + i + 1] == rows[:, i : i + 1]
+        found = hit.any(axis=1)
+        tau[active[found]] = lo + hit[found].argmax(axis=1)
+        active = active[~found]
+        lo, width = hi + 1, 4 * width
     return tau
 
 
-# Trials per RNG block; fixed so memory settings cannot alter results.
+# Trials per RNG block: the seeds, and so the results, depend on it.
 _KAC_TRIAL_BLOCK = 1024
 
 
@@ -318,7 +328,6 @@ def kac_diagnostic(
     seed: int,
     patterns=None,
     min_hits: int = 1,
-    max_chunk_entries: int = 1 << 23,
 ) -> list[KacRow]:
     """Check that mean first-recurrence times match reciprocal pattern mass.
 
@@ -328,11 +337,10 @@ def kac_diagnostic(
     empirical mean is compared against ``1 / P(pattern)`` computed from
     the source's exact block probabilities.
 
-    Trial seeds are spawned per fixed-size block of ``_KAC_TRIAL_BLOCK``
-    trials, so the result depends only on ``(seed, n_trials,
-    path_length)``.  ``max_chunk_entries`` merely caps how many outcomes
-    are materialized at once (memory), by processing whole blocks in
-    groups; it never changes the numbers.
+    Trials are drawn in blocks of ``_KAC_TRIAL_BLOCK``, each from its own
+    spawned seed, so the result depends only on ``(seed, n_trials,
+    path_length)``.  Each block is scanned as soon as it is drawn, so at
+    most ``_KAC_TRIAL_BLOCK * path_length`` outcomes are held at once.
 
     ``patterns`` optionally restricts the report to specific blocks
     (chronological symbol tuples); requesting a zero-probability block
@@ -345,20 +353,12 @@ def kac_diagnostic(
     n_trials, path_length = int(n_trials), int(path_length)
     n_blocks = -(-n_trials // _KAC_TRIAL_BLOCK)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(n_blocks)
-    blocks = [
-        (child, min(_KAC_TRIAL_BLOCK, n_trials - i * _KAC_TRIAL_BLOCK))
-        for i, child in enumerate(children)
-    ]
-    blocks_per_group = max(1, int(max_chunk_entries) // (path_length * _KAC_TRIAL_BLOCK))
 
     # pattern (chronological) -> [sum of taus, resolved count, unresolved count]
     stats: dict[tuple[int, ...], list[int]] = {}
-    for g in range(0, n_blocks, blocks_per_group):
-        group = blocks[g : g + blocks_per_group]
-        batch = np.concatenate(
-            [np.asarray(source.generate_batch(rows_b, path_length, child)) for child, rows_b in group]
-        )
+    for b, child in enumerate(ss.spawn(n_blocks)):
+        size = min(_KAC_TRIAL_BLOCK, n_trials - b * _KAC_TRIAL_BLOCK)
+        batch = np.asarray(source.generate_batch(size, path_length, child))
         storage = batch[:, ::-1]  # most recent outcome first, per row
         tau = _first_recurrence_taus(storage, k)
         chron = storage[:, :k][:, ::-1]

@@ -14,6 +14,7 @@ meaning (e.g. a two-state chain taking values -1.0 and +1.0).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,17 @@ def _entropy_bits(pmf: np.ndarray) -> float:
     p = np.asarray(pmf, dtype=float)
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
+
+
+def _cut_points(P: np.ndarray) -> np.ndarray:
+    """Running sums of each row of ``P`` but the last: inverse-CDF cut points.
+
+    A uniform draws the number of cut points it passes.  The last running
+    sum is 1 only within rounding, and a uniform above a sum just short of
+    1 would draw the out-of-range symbol ``m``; leaving it out keeps every
+    draw in range and changes no other.
+    """
+    return np.cumsum(P, axis=1)[:, :-1]
 
 
 def _validate_pmf(pmf, m: int | None = None) -> np.ndarray:
@@ -114,7 +126,13 @@ class _SourceBase:
 
 
 class IIDSource(_SourceBase):
-    """Independent draws from a fixed pmf."""
+    """Independent draws from a fixed pmf.
+
+    Draws are numpy's own ``Generator.choice(m, size, p=pmf)`` sequence,
+    computed without its ``searchsorted``: one uniform per outcome, and
+    the outcome is the number of cut points of the normalized cdf at or
+    below it.  Same stream, same integers.
+    """
 
     kind = "iid"
 
@@ -126,16 +144,24 @@ class IIDSource(_SourceBase):
         self.values = None if values is None else tuple(float(v) for v in values)
         if self.values is not None and len(self.values) != self.alphabet_size:
             raise InputError("values must align with the pmf")
+        # Generator.choice's cdf; u < 1 never reaches its last entry.
+        cdf = self.pmf.cumsum()
+        cdf /= cdf[-1]
+        self._cuts = cdf[:-1]
 
     def generate(self, n: int, seed) -> np.ndarray:
-        return _rng(seed).choice(self.alphabet_size, size=int(n), p=self.pmf).astype(np.int64)
+        return self._draw(_rng(seed), int(n))
 
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
-        return (
-            _rng(seed)
-            .choice(self.alphabet_size, size=(int(trials), int(n)), p=self.pmf)
-            .astype(np.int64)
-        )
+        return self._draw(_rng(seed), (int(trials), int(n)))
+
+    def _draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        # choice's cdf.searchsorted(u, side="right"), as sums of u >= c.
+        u = rng.random(shape)
+        out = np.greater_equal(u, self._cuts[0], out=np.empty(u.shape, dtype=np.int64))
+        for c in self._cuts[1:]:
+            out += u >= c
+        return out
 
     def conditional(self, past) -> np.ndarray:
         return self.pmf.copy()
@@ -198,7 +224,7 @@ class MarkovSource(_SourceBase):
         if self.values is not None and len(self.values) != m:
             raise InputError("values must align with the alphabet")
         self._ctx_pi = _stationary_distribution(self._lifted_chain())
-        self._cum = np.cumsum(T, axis=1)
+        self._cuts = _cut_points(T)
         # math.log2 of every transition, -inf where it is impossible.
         self._log2_T = np.array([[math.log2(p) if p > 0.0 else -math.inf for p in row] for row in T])
 
@@ -249,15 +275,36 @@ class MarkovSource(_SourceBase):
             return out
         if self._symmetric_binary:
             flips = rng.random((trials, n - 1)) < self.transition[0, 1]
-            out[:, 1:] = (out[:, :1] + np.cumsum(flips, axis=1)) % 2
+            # Symbol t is the first symbol xor the parity of the flips up to t.
+            np.bitwise_xor(np.bitwise_xor.accumulate(flips, axis=1), out[:, :1], out=out[:, 1:])
             return out
-        cum = self._cum
-        for t in range(K, n):
-            u = rng.random(trials)
-            rows = cum[ctx]
-            sym = (u[:, None] > rows).sum(axis=1)
-            out[:, t] = sym
-            ctx = (ctx * m + sym) % (m**K)
+        # Row t - K holds step t's uniforms, as drawn one step at a time.
+        out[:, K:] = self._walk(ctx, rng.random((n - K, trials))).T
+        return out
+
+    def _walk(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Symbols of chains started at contexts ``ctx``, one row of ``u`` per step.
+
+        Each symbol is the number of its context's cut points below its
+        uniform.  Returns one row per step and one column per chain.
+        """
+        m, S = self.alphabet_size, self.alphabet_size**self.order
+        if u.shape[1] == 1:
+            # One chain: Python floats beat numpy calls on length-1 arrays.
+            # bisect_left counts the sorted cut points below x.
+            cuts = self._cuts.tolist()
+            c = int(ctx[0])
+            syms = []
+            for x in u[:, 0].tolist():
+                s = bisect_left(cuts[c], x)
+                syms.append(s)
+                c = (c * m + s) % S
+            return np.array(syms, dtype=np.int64)[:, None]
+        out = np.empty(u.shape, dtype=np.int64)
+        for t, x in enumerate(u):
+            sym = (x[:, None] > self._cuts[ctx]).sum(axis=1)
+            out[t] = sym
+            ctx = (ctx * m + sym) % S
         return out
 
     def conditional(self, past) -> np.ndarray:
@@ -430,20 +477,29 @@ class HMMSource(_SourceBase):
         self.alphabet_size = E.shape[1]
         self.values = None if values is None else tuple(float(v) for v in values)
         self.state_pi = _stationary_distribution(A)
+        self._cutsA = _cut_points(A)
+        self._cutsE = _cut_points(E)
 
     def generate_with_states(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         rng = _rng(seed)
-        n = int(n)
-        states = np.empty(n, dtype=np.int64)
-        xs = np.empty(n, dtype=np.int64)
-        cumA = np.cumsum(self.A, axis=1)
-        cumE = np.cumsum(self.E, axis=1)
         s = int(rng.choice(self.n_states, p=self.state_pi))
-        for t in range(n):
-            states[t] = s
-            xs[t] = int(np.searchsorted(cumE[s], rng.random(), side="right"))
-            s = int(np.searchsorted(cumA[s], rng.random(), side="right"))
-        return xs, states
+        # Step t's emission and transition uniforms, as drawn one at a time.
+        return self._walk(s, rng.random(2 * int(n)))
+
+    def _walk(self, state: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Emissions and states from ``state``: ``u[2t]`` emits, ``u[2t + 1]`` moves.
+
+        Each draw is the number of the row's cut points at or below its
+        uniform, as ``searchsorted`` with ``side="right"`` counts them.
+        """
+        cutsA, cutsE = self._cutsA.tolist(), self._cutsE.tolist()
+        states, xs = [], []
+        s = state
+        for ue, ua in zip(u[0::2].tolist(), u[1::2].tolist()):
+            states.append(s)
+            xs.append(bisect_right(cutsE[s], ue))
+            s = bisect_right(cutsA[s], ua)
+        return np.array(xs, dtype=np.int64), np.array(states, dtype=np.int64)
 
     def generate(self, n: int, seed) -> np.ndarray:
         return self.generate_with_states(n, seed)[0]

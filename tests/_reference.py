@@ -2,14 +2,20 @@
 
 Everything here is written directly from the defining formulas using plain
 Python lists and :class:`fractions.Fraction`, deliberately sharing no code
-(and no numpy) with the package under test.  Tests compare package output
-against these on small inputs, exactly where possible.
+with the package under test.  Tests compare package output against these
+on small inputs, exactly where possible.  The only numpy here is the
+random generator that the draw references replay, one call at a time as
+the sources once drew it; ``ref_kac`` takes its trials from the source
+under test and scans them independently.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Recurrence offsets on a chronological sequence of codes
@@ -267,6 +273,99 @@ def ref_hmm_block_prob(state_transition, emission, state_pi, symbols):
                 total += w
         paths = new_paths
     return total
+
+
+# ---------------------------------------------------------------------------
+# Source draws, one call of the generator at a time
+
+
+def _cut_points(row):
+    """The first m - 1 running sums of a pmf row; the last is taken as 1."""
+    return list(accumulate(row))[:-1]
+
+
+def ref_markov_draws(transition, context_law, order, trials, n, rng):
+    """Draws of an order-``order`` chain: the step-by-step loop.
+
+    The first contexts come from ``rng.choice`` over ``context_law``.  A
+    symmetric binary chain of order 1 then draws a (trials, n - 1) array of
+    flips at once; any other chain draws one uniform per trial and step,
+    and the symbol is the number of cut points below it.
+    """
+    m = len(transition[0])
+    n_ctx = m**order
+    head = min(order, n)
+    ctxs = rng.choice(n_ctx, size=trials, p=context_law).tolist()
+    out = [[(c // m ** (order - 1 - i)) % m for i in range(head)] for c in ctxs]
+    if n <= order:
+        return out
+    if order == 1 and m == 2 and abs(transition[0][0] - transition[1][1]) < 1e-15:
+        flips = rng.random((trials, n - 1)).tolist()
+        for row, us in zip(out, flips):
+            count = 0
+            for u in us:
+                count += u < transition[0][1]
+                row.append((row[0] + count) % 2)
+        return out
+    cuts = [_cut_points(row) for row in transition]
+    for _ in range(order, n):
+        us = rng.random(trials).tolist()
+        for i, u in enumerate(us):
+            s = sum(u > c for c in cuts[ctxs[i]])
+            out[i].append(s)
+            ctxs[i] = (ctxs[i] * m + s) % n_ctx
+    return out
+
+
+def ref_hmm_draws(state_transition, emission, state_pi, n, rng):
+    """Symbols and hidden states of an HMM: the step-by-step loop.
+
+    The first state comes from ``rng.choice`` over ``state_pi``; each step
+    then draws one uniform for its emission and one for its move, and each
+    draw is the number of cut points at or below its uniform.
+    """
+    cuts_a = [_cut_points(row) for row in state_transition]
+    cuts_e = [_cut_points(row) for row in emission]
+    s = int(rng.choice(len(state_pi), p=state_pi))
+    xs, states = [], []
+    for _ in range(n):
+        states.append(s)
+        u = rng.random()
+        xs.append(sum(c <= u for c in cuts_e[s]))
+        u = rng.random()
+        s = sum(c <= u for c in cuts_a[s])
+    return xs, states
+
+
+# ---------------------------------------------------------------------------
+# Kac first-recurrence statistics
+
+
+def ref_kac(source, k, n_trials, path_length, seed, block=1024):
+    """Per-pattern ``(hits, unresolved, mean first recurrence)``, one trial at a time.
+
+    Trials come in blocks of ``block`` from ``source.generate_batch``, one
+    spawned child of ``SeedSequence(seed)`` per block.  Each trial's first
+    backward recurrence of its final ``k`` outcomes is found by a plain scan;
+    patterns that never recur are left out.
+    """
+    children = np.random.SeedSequence(seed).spawn(-(-n_trials // block))
+    stats = {}
+    for b, child in enumerate(children):
+        size = min(block, n_trials - b * block)
+        for chron in source.generate_batch(size, path_length, child).tolist():
+            taus = ref_backward_taus(chron, k, j_max=1)
+            agg = stats.setdefault(tuple(chron[path_length - k :]), [0, 0, 0])
+            if taus:
+                agg[0] += 1
+                agg[2] += taus[0]
+            else:
+                agg[1] += 1
+    return {
+        pat: (hits, unresolved, total / hits)
+        for pat, (hits, unresolved, total) in stats.items()
+        if hits
+    }
 
 
 def ref_kl_bits(p, q):

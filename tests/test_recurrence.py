@@ -18,9 +18,15 @@ from pastcast.recurrence import (
     growth_rate_diagnostic,
     kac_diagnostic,
 )
-from pastcast.sources import build_source
+from pastcast.sources import MarkovSource, build_source
 
-from _reference import ref_backward_taus, ref_forward_taus, ref_next_after, ref_quantize
+from _reference import (
+    ref_backward_taus,
+    ref_forward_taus,
+    ref_kac,
+    ref_next_after,
+    ref_quantize,
+)
 
 BIN = Alphabet.of_size(2)
 TRI = Alphabet.of_size(3)
@@ -316,8 +322,21 @@ def test_kac_diagnostic_deterministic_and_sane():
 
 
 def test_kac_diagnostic_chunking_invariant():
-    """Chunk layout must not affect the result, only memory use."""
-    src = build_source("markov_stay90")
-    a = kac_diagnostic(src, k=1, n_trials=3000, path_length=64, seed=5)
-    b = kac_diagnostic(src, k=1, n_trials=3000, path_length=64, seed=5, max_chunk_entries=2048)
-    assert a == b
+    """Blocks of 1024, 1024 and 952 trials give the per-trial scan's numbers.
+
+    The paths of 400 outcomes take the windowed scan past its first two
+    windows (offsets 1-64 and 65-320), and some trials stay unresolved.
+    """
+    cases = [
+        (build_source("markov_stay90"), 1, 64),
+        (build_source("iid_fair"), 6, 400),
+        (MarkovSource([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]]), 2, 90),
+    ]
+    unresolved = 0
+    for src, k, length in cases:
+        rows = kac_diagnostic(src, k=k, n_trials=3000, path_length=length, seed=5)
+        want = ref_kac(src, k, 3000, length, seed=5)
+        assert {r.pattern: (r.hits, r.unresolved, r.empirical_mean) for r in rows} == want
+        assert sum(r.hits + r.unresolved for r in rows) == 3000
+        unresolved += sum(r.unresolved for r in rows)
+    assert unresolved > 0

@@ -18,7 +18,13 @@ from pastcast.sources import (
     get_preset,
 )
 
-from _reference import ref_hmm_block_prob, ref_markov_block_log2, ref_markov_block_prob
+from _reference import (
+    ref_hmm_block_prob,
+    ref_hmm_draws,
+    ref_markov_block_log2,
+    ref_markov_block_prob,
+    ref_markov_draws,
+)
 
 
 def h2(p):
@@ -59,6 +65,77 @@ def test_iid_validation():
     with pytest.raises(InputError):
         IIDSource((0.5, 0.5), values=(1.0,))
 
+
+
+IID_DRAW_PMFS = [
+    pytest.param((0.75, 0.25), id="two"),
+    pytest.param((0.5, 0.0, 0.5), id="zero-mass"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), id="four"),
+    pytest.param((0.0, 1.0), id="point-mass"),
+    pytest.param((0.5, 0.4999999995), id="short-by-5e-10"),
+    pytest.param((0.7, 0.2, 0.1), id="short-by-ulp"),
+]
+
+
+@pytest.mark.parametrize("pmf", IID_DRAW_PMFS)
+@pytest.mark.parametrize(
+    "make_seed",
+    [
+        pytest.param(lambda: 17, id="int"),
+        pytest.param(lambda: np.random.SeedSequence(17, spawn_key=(2,)), id="seedsequence"),
+        pytest.param(lambda: np.random.default_rng(17), id="generator"),
+    ],
+)
+def test_iid_draws_equal_generator_choice(pmf, make_seed):
+    """Draws are numpy's own choice sequence, 1-D and 2-D, bit for bit."""
+    src = IIDSource(pmf)
+    m = len(pmf)
+
+    def choice(size):
+        seed = make_seed()
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        return rng.choice(m, size=size, p=pmf)
+
+    path = src.generate(100_000, make_seed())
+    assert path.dtype == np.int64 and path.shape == (100_000,)
+    assert np.array_equal(path, choice(100_000))
+    batch = src.generate_batch(300, 700, make_seed())
+    assert batch.dtype == np.int64 and batch.shape == (300, 700)
+    assert np.array_equal(batch, choice((300, 700)))
+    assert src.generate(0, make_seed()).shape == (0,)
+    # each drawn symbol has mass, and all of them are drawn
+    assert set(np.unique(batch).tolist()) == {s for s in range(m) if pmf[s] > 0}
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+@pytest.mark.parametrize("pmf", IID_DRAW_PMFS)
+def test_iid_draws_at_the_cut_points(pmf):
+    """Uniforms on and beside each cut point draw as choice's recipe says.
+
+    ``Generator.choice`` normalizes the cdf by its last entry and searches
+    it with ``side="right"``; random seeds almost never land on a cut
+    point, so the uniforms are given here.
+    """
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    u = [0.0, np.nextafter(1.0, 0.0)]
+    for c in cdf[:-1]:
+        u += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    u = np.array(u)
+    want = cdf.searchsorted(u, side="right")
+    got = IIDSource(pmf)._draw(_FixedUniforms(u), u.shape)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert got.max() < len(pmf)
 
 # ---------------------------------------------------------------------------
 # markov
@@ -152,6 +229,44 @@ def test_markov_block_log2_equals_symbol_loop(transition, order):
         assert impossible  # the -inf cases were reached
 
 
+
+MARKOV_DRAW_CHAINS = MARKOV_LOG2_CHAINS + [
+    pytest.param([[0.8, 0.2], [0.3, 0.7]], 1, id="asymmetric"),
+    pytest.param([[0.5, 0.4999999995], [0.3, 0.7]], 1, id="short-row"),
+    pytest.param([[0.95, 0.05], [0.5, 0.5], [0.5, 0.5], [0.05, 0.95]], 2, id="order2"),
+]
+
+
+@pytest.mark.parametrize("transition, order", MARKOV_DRAW_CHAINS)
+def test_markov_draws_equal_step_loop(transition, order):
+    """Uniforms drawn up front give the step-by-step loop's paths, bit for bit."""
+    src = MarkovSource(transition, order=order)
+    law = src._ctx_pi.tolist()
+    for trials, n in ((1, 20_000), (1, order + 1), (7, 300), (5, order), (3, order + 1)):
+        for seed in (0, 5):
+            want = ref_markov_draws(transition, law, order, trials, n, np.random.default_rng(seed))
+            assert src.generate_batch(trials, n, seed).tolist() == want
+            if trials == 1:
+                assert src.generate(n, seed).tolist() == want[0]
+
+
+def test_markov_draws_stay_in_range_at_the_top_uniform():
+    """A row summing to just under 1 never yields the symbol m."""
+    src = MarkovSource([[0.5, 0.4999999995], [0.4999999995, 0.5]])
+    top = np.nextafter(1.0, 0.0)
+    for trials in (1, 4):
+        walk = src._walk(np.zeros(trials, dtype=np.int64), np.full((50, trials), top))
+        assert walk.shape == (50, trials)
+        assert (walk == 1).all()
+        # a uniform on a cut point is not above it: u > cum is strict
+        assert (src._walk(np.zeros(trials, dtype=np.int64), np.full((1, trials), 0.5)) == 0).all()
+    ternary = MarkovSource([[0.7, 0.2, 0.1]] * 3)
+    for trials in (1, 4):
+        walk = ternary._walk(np.arange(trials) % 3, np.full((50, trials), top))
+        assert (walk == 2).all()
+        # the bottom uniform draws the first symbol with mass
+        assert (ternary._walk(np.arange(trials) % 3, np.zeros((50, trials))) == 0).all()
+
 def test_markov_validation():
     with pytest.raises(InputError):
         MarkovSource([[0.9, 0.2], [0.1, 0.9]])
@@ -225,6 +340,41 @@ def test_hmm_states_and_side_oracle():
     cg = src.conditional_given_state(1)
     assert cg.tolist() == pytest.approx([0.3, 0.7])
 
+
+
+HMM_DRAW_MODELS = [
+    pytest.param([[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]], id="tiny"),
+    pytest.param(
+        [[0.6, 0.3, 0.1], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]],
+        [[0.7, 0.2, 0.1], [0.1, 0.0, 0.9], [0.5, 0.4999999995, 5e-10]],
+        id="three-states",
+    ),
+]
+
+
+@pytest.mark.parametrize("A, E", HMM_DRAW_MODELS)
+def test_hmm_draws_equal_step_loop(A, E):
+    """Two uniforms per step drawn up front give the loop's path, bit for bit."""
+    src = HMMSource(A, E)
+    for n in (0, 1, 2, 5000):
+        for seed in (0, 9):
+            xs, states = src.generate_with_states(n, seed)
+            want_xs, want_states = ref_hmm_draws(A, E, src.state_pi, n, np.random.default_rng(seed))
+            assert xs.dtype == states.dtype == np.int64
+            assert xs.tolist() == want_xs and states.tolist() == want_states
+            assert src.generate(n, seed).tolist() == want_xs
+
+
+def test_hmm_draws_stay_in_range_at_the_top_uniform():
+    """Rows whose running sum ends a hair under 1 never yield an out-of-range draw."""
+    # 0.7 + 0.2 + 0.1 sums to 1 - 2**-53
+    src = HMMSource([[0.7, 0.2, 0.1]] * 3, [[0.7, 0.2, 0.1]] * 3)
+    xs, states = src._walk(0, np.full(100, np.nextafter(1.0, 0.0)))
+    assert xs.tolist() == [2] * 50
+    assert states.tolist() == [0] + [2] * 49
+    # a uniform on a cut point passes it, as searchsorted's side="right"
+    xs, states = src._walk(0, np.full(4, 0.7))
+    assert xs.tolist() == [1, 1] and states.tolist() == [0, 1]
 
 # ---------------------------------------------------------------------------
 # drifting-parameter switching source
