@@ -14,7 +14,7 @@ from .errors import (
     PastcastError,
     UnsupportedQueryError,
 )
-from .quantize import Alphabet, IntervalFieldHierarchy, OutcomeSpace, quantize, quantize_block
+from .quantize import Alphabet, IntervalFieldHierarchy, OutcomeSpace
 from .recurrence import (
     IncrementalPatternIndex,
     RecurrenceRecord,
@@ -47,7 +47,7 @@ from .estimators import (
     integrate,
     truncated_parameters,
 )
-from .models import KTMixtureModel, LZ78Model, SequentialModel, compound_model
+from .models import KTMixtureModel, LZ78Model, SequentialModel
 from .divergence import (
     cesaro_estimate,
     expected_divergence_curve,
@@ -83,8 +83,6 @@ __all__ = [
     "Alphabet",
     "IntervalFieldHierarchy",
     "OutcomeSpace",
-    "quantize",
-    "quantize_block",
     # recurrence machinery
     "SamplePath",
     "RecurrenceRecord",
@@ -118,7 +116,6 @@ __all__ = [
     "SequentialModel",
     "KTMixtureModel",
     "LZ78Model",
-    "compound_model",
     # divergences
     "kl_divergence",
     "variational_distance",

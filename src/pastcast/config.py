@@ -22,7 +22,7 @@ from .sources import PRESETS, build_source
 
 __all__ = ["ExperimentConfig", "build_schedule", "outcome_space_for"]
 
-ESTIMATOR_KINDS = ("pattern", "cesaro", "side_info")
+ESTIMATOR_KINDS = ("pattern", "side_info")
 MODEL_KINDS = ("kt_mixture", "lz78")
 LOSS_KINDS = ("hamming", "squared")
 
@@ -53,7 +53,7 @@ SCHEDULE_KEYS = {
 class ExperimentConfig:
     source: str | dict = "iid_fair"
     estimator: str = "pattern"
-    model: str = "kt_mixture"  # sequential model for cesaro runs
+    model: str = "kt_mixture"  # divergence-curve: the averaged sequential model
     model_order: int = 4  # mixture depth for kt_mixture
     schedule: dict = field(default_factory=dict)
     n_grid: tuple[int, ...] = (1_000, 10_000, 100_000)

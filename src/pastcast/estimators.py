@@ -81,11 +81,11 @@ class ConditionalDistribution:
 
     @classmethod
     def finite(cls, pmf, default_used: bool = False) -> "ConditionalDistribution":
-        return cls(pmf=np.asarray(pmf, dtype=float), default_used=default_used)
+        return cls(pmf=pmf, default_used=default_used)
 
     @classmethod
     def empirical(cls, samples, default_used: bool = False) -> "ConditionalDistribution":
-        return cls(samples=np.asarray(samples, dtype=float), default_used=default_used)
+        return cls(samples=samples, default_used=default_used)
 
     @classmethod
     def uniform(cls, m: int, default_used: bool = False) -> "ConditionalDistribution":
@@ -340,22 +340,23 @@ def estimate_truncated(
     path: SamplePath,
     schedule: Schedule,
     space: OutcomeSpace,
-) -> ConditionalDistribution:
+) -> tuple[ConditionalDistribution, RecurrenceRecord | None]:
     """Schedule-driven estimate that falls back to the default measure.
 
     Looks up ``(k, ell, J)`` for the path length, runs the fixed-level
-    estimator, and returns the schedule's default law (flagged via
-    ``default_used``) whenever the context does not fit or the search
-    truncates.
+    estimator, and returns the law with its search record.  When the
+    context does not fit the path, the law is the schedule's default
+    (flagged via ``default_used``) and the record is ``None``; when the
+    search truncates, the law is the default and the record the truncated
+    one.
     """
     k, ell, j = truncated_parameters(schedule, path.n)
     if ell > path.n:
-        return schedule.default()
+        return schedule.default(), None
     try:
-        dist, _ = estimate_fixed_k(path, k, ell, j, space)
-    except InsufficientDataError:
-        return schedule.default()
-    return dist
+        return estimate_fixed_k(path, k, ell, j, space)
+    except InsufficientDataError as err:
+        return schedule.default(), err.record
 
 
 def estimate_with_side_info(

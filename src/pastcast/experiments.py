@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, build_schedule, outcome_space_for
 from .divergence import expected_divergence_curve
-from .errors import ConfigError, InputError, InsufficientDataError, UnsupportedQueryError
-from .estimators import FiniteAlphabetSchedule, estimate_fixed_k, truncated_parameters
+from .errors import ConfigError, InputError, UnsupportedQueryError
+from .estimators import FiniteAlphabetSchedule, estimate_truncated, truncated_parameters
 from .models import KTMixtureModel, LZ78Model
 from .online import (
     OnlinePatternEstimator,
@@ -280,15 +280,8 @@ def _estimate_one(args) -> list[list]:
             continue
         path = SamplePath.from_chronological(chron[n_max - n :])
         k, ell, j = truncated_parameters(schedule, n)
-        dist, lam = None, None
-        if ell <= n:
-            try:
-                dist, rec = estimate_fixed_k(path, k, ell, j, space)
-                lam = rec.lam
-            except InsufficientDataError:
-                dist = None
-        if dist is None:
-            dist = schedule.default()
+        dist, rec = estimate_truncated(path, schedule, space)
+        lam = None if rec is None else rec.lam
         est = _symbol_pmf_from(dist, values)
         off_symbols = max(0.0, 1.0 - float(est.sum()))
         l1 = float(np.abs(est - oracle).sum()) + off_symbols
@@ -417,8 +410,6 @@ def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
 def _check_predict(config: ExperimentConfig, source) -> None:
     """The estimator and loss checks of ``predict``, which need the source."""
     real_mode = config.schedule.get("mode", "finite") == "real"
-    if config.estimator not in ("pattern", "side_info"):
-        raise ConfigError("estimator", "predict runs the pattern or side_info estimator")
     if config.estimator == "side_info":
         if real_mode:
             raise ConfigError("estimator", "side_info runs are finite-alphabet only")

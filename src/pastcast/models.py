@@ -17,9 +17,8 @@ Two concrete model families live here:
 * :class:`LZ78Model` — an incremental-parsing tree whose node statistics
   drive smoothed next-symbol predictions.
 
-:func:`compound_model` adapts an arbitrary family of conditional
-estimators into this interface so its sequence law can be analyzed with
-the same tools.
+Another model plugs in by subclassing :class:`SequentialModel` with its
+``_predict``, ``_advance`` and ``fresh``.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ __all__ = [
     "SequentialModel",
     "KTMixtureModel",
     "LZ78Model",
-    "compound_model",
-    "CompoundModel",
 ]
 
 _LN2 = math.log(2.0)
@@ -384,31 +381,3 @@ class LZ78Model(SequentialModel):
                 return False
             stack.extend(node.children.values())
         return True
-
-
-class CompoundModel(SequentialModel):
-    """Sequential model induced by a family of conditional estimators.
-
-    ``estimate_fn`` receives the chronological history as a tuple and
-    must return a strictly positive pmf for the next symbol; the chain
-    rule over these predictions defines the model's sequence law.
-    """
-
-    def __init__(self, estimate_fn, alphabet_size: int):
-        super().__init__(alphabet_size)
-        self._fn = estimate_fn
-        self._history: list[int] = []
-
-    def fresh(self) -> "CompoundModel":
-        return CompoundModel(self._fn, self.alphabet_size)
-
-    def _predict(self) -> np.ndarray:
-        return np.asarray(self._fn(tuple(self._history)), dtype=float)
-
-    def _advance(self, x: int) -> None:
-        self._history.append(x)
-
-
-def compound_model(estimate_fn, alphabet_size: int) -> CompoundModel:
-    """Wrap per-step conditional estimates into a sequential model."""
-    return CompoundModel(estimate_fn, alphabet_size)

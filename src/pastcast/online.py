@@ -9,10 +9,8 @@ estimate never sees the outcome it is scored against.
 Estimators here are incremental wrappers over
 :class:`~pastcast.recurrence.IncrementalPatternIndex`; they produce, at
 every step, exactly the law the offline truncated estimator would
-produce on the past-so-far.  On a finite alphabet the law is read from
-the index's symbol counts of the last ``J`` occurrences, O(m) per step
-for ``m`` symbols; on the interval hierarchy it is the ``J`` sample atoms
-the index returns.
+produce on the past-so-far, from the outcomes that followed the last
+``J`` occurrences the index returns.
 
 :func:`run_online` computes a whole run from arrays when it is handed a
 fresh estimator over an :class:`~pastcast.quantize.Alphabet`: one stable
@@ -36,13 +34,10 @@ from .estimators import (
     ConditionalDistribution,
     Schedule,
     _distribution_from_samples,
-    estimate_truncated,
-    estimate_with_side_info,
-    integrate,
     truncated_parameters,
 )
 from .quantize import Alphabet, OutcomeSpace
-from .recurrence import IncrementalPatternIndex, SamplePath
+from .recurrence import IncrementalPatternIndex
 
 __all__ = [
     "hamming_loss",
@@ -50,9 +45,6 @@ __all__ = [
     "plug_in_action",
     "predict_class",
     "predict_regression",
-    "classify_next",
-    "regress_next",
-    "classify_next_with_side_info",
     "OnlinePatternEstimator",
     "OnlineSideInfoEstimator",
     "LossLedger",
@@ -102,49 +94,6 @@ def predict_regression(estimate: ConditionalDistribution, symbol_values=None) ->
 
 
 # ---------------------------------------------------------------------------
-# One-shot helpers for a single prediction from a chronological past
-
-
-def classify_next(past, schedule: Schedule, space: OutcomeSpace) -> int:
-    path = SamplePath.from_chronological(past)
-    return predict_class(estimate_truncated(path, schedule, space))
-
-
-def regress_next(
-    past,
-    schedule: Schedule,
-    space: OutcomeSpace,
-    symbol_values=None,
-) -> float:
-    path = SamplePath.from_chronological(past)
-    est = estimate_truncated(path, schedule, space)
-    return predict_regression(est, symbol_values)
-
-
-def classify_next_with_side_info(
-    x_past,
-    y_past,
-    y_now,
-    k: int,
-    ell: int,
-    j: int,
-    x_space: OutcomeSpace,
-    y_space: OutcomeSpace,
-) -> int:
-    est, _ = estimate_with_side_info(
-        SamplePath.from_chronological(x_past),
-        SamplePath.from_chronological(y_past),
-        y_now,
-        k,
-        ell,
-        j,
-        x_space,
-        y_space,
-    )
-    return predict_class(est)
-
-
-# ---------------------------------------------------------------------------
 # Incremental estimators
 
 
@@ -186,18 +135,11 @@ class OnlinePatternEstimator:
         self._params = (k, ell, j)
 
     def current_estimate(self) -> ConditionalDistribution:
-        k, ell, j = self._params
-        if ell > self._n:
-            return self.schedule.default()
-        if isinstance(self.space, Alphabet):
-            counts = self._index.counts(j)
-            if counts is None:
-                return self.schedule.default()
-            return ConditionalDistribution.finite(np.array(counts) / j)
+        j = self._params[2]
         found = self._index.query(j)
         if found is None or found[2]:
             return self.schedule.default()
-        return ConditionalDistribution.empirical(found[1])
+        return _distribution_from_samples(np.asarray(found[1]), j, self.space)
 
 
 class OnlineSideInfoEstimator:
@@ -362,7 +304,7 @@ def _sweep_online(outcomes, alphabet: Alphabet, schedule: Schedule, decide, loss
     lines up each gram's occurrences oldest first, so an occurrence's
     rank is its count of earlier ones, and running symbol counts over the
     sorted order give the counts of any ``J`` consecutive occurrences as
-    the difference of two rows: the index's prefix rows, for the whole run.
+    the difference of two rows.
     """
     seen = outcomes if isinstance(outcomes, np.ndarray) else list(outcomes)
     codes = alphabet.encode(seen, 1)

@@ -14,7 +14,7 @@ symbol indices at every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "Alphabet",
     "IntervalFieldHierarchy",
     "OutcomeSpace",
-    "quantize",
-    "quantize_block",
 ]
 
 
@@ -164,16 +162,3 @@ class IntervalFieldHierarchy:
 
 
 OutcomeSpace = Alphabet | IntervalFieldHierarchy
-
-
-def quantize(space: OutcomeSpace, x, k: int) -> int:
-    """Cell id of a single outcome at level ``k`` of ``space``."""
-    return space.quantize(x, k)
-
-
-def quantize_block(space: OutcomeSpace, segment, k: int) -> tuple[int, ...]:
-    """Cell ids of a contiguous segment of outcomes, preserving order."""
-    seg = np.asarray(segment)
-    if seg.ndim != 1 or seg.size == 0:
-        raise InputError("segment must be a non-empty 1-d sequence")
-    return tuple(int(c) for c in space.encode(seg, k))

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, UnsupportedQueryError
+from .errors import InputError, UnsupportedQueryError
 from .quantize import Alphabet, OutcomeSpace
+from .sources import _spawn
 
 __all__ = [
     "SamplePath",
@@ -352,11 +353,10 @@ def kac_diagnostic(
         raise InputError("path_length must exceed the pattern length")
     n_trials, path_length = int(n_trials), int(path_length)
     n_blocks = -(-n_trials // _KAC_TRIAL_BLOCK)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     # pattern (chronological) -> [sum of taus, resolved count, unresolved count]
     stats: dict[tuple[int, ...], list[int]] = {}
-    for b, child in enumerate(ss.spawn(n_blocks)):
+    for b, child in enumerate(_spawn(seed, n_blocks)):
         size = min(_KAC_TRIAL_BLOCK, n_trials - b * _KAC_TRIAL_BLOCK)
         batch = np.asarray(source.generate_batch(size, path_length, child))
         storage = batch[:, ::-1]  # most recent outcome first, per row
@@ -408,16 +408,10 @@ class IncrementalPatternIndex:
 
     Maintains, per quantized ``ell``-gram, the start positions of its
     occurrences, oldest first; the outcome that followed an occurrence at
-    ``p`` is read back from the stream at ``p + ell``.  :meth:`query`
-    returns the ``j`` most recent occurrences in O(j), with exactly the
-    offsets a from-scratch backward search would find.
-
-    On a finite :class:`~pastcast.quantize.Alphabet` of ``m`` symbols each
-    gram also keeps cumulative counts of the symbols that followed its
-    occurrences, one row of ``m`` counts per occurrence, so
-    :meth:`counts` gives the symbol counts of the last ``j`` occurrences
-    as the difference of two rows, in O(m) whatever ``j`` is.  Appending
-    an outcome is O(ell + m).
+    ``p`` is read back from the stream at ``p + ell``.  Appending an
+    outcome is O(ell), and :meth:`query` returns the ``j`` most recent
+    occurrences in O(j), with exactly the offsets a from-scratch backward
+    search would find.
     """
 
     def __init__(self, space: OutcomeSpace, k: int, ell: int):
@@ -426,30 +420,22 @@ class IncrementalPatternIndex:
         self.space = space
         self.k = int(k)
         self.ell = int(ell)
-        self._m = space.size if isinstance(space, Alphabet) else 0
         self._values: list = []
         self._codes: list[int] = []
-        # gram -> (start positions, flat prefix-count rows; empty off a finite
-        # alphabet).  Entries are C ints: a stream of 2**31 outcomes would not
-        # fit in memory as the list of values kept here anyway.
-        self._table: dict[tuple, tuple[array, array]] = {}
+        # gram -> start positions, as C ints: a stream of 2**31 outcomes would
+        # not fit in memory as the list of values kept here anyway.
+        self._table: dict[tuple, array] = {}
 
     def __len__(self) -> int:
         return len(self._values)
 
     def _add(self, start: int) -> None:
         """Record the occurrence of the gram starting at ``start``."""
-        stop = start + self.ell
-        key = tuple(self._codes[start:stop])
-        entry = self._table.get(key)
-        if entry is None:
-            entry = self._table[key] = (array("i"), array("i", [0] * self._m))
-        positions, prefix = entry
+        key = tuple(self._codes[start : start + self.ell])
+        positions = self._table.get(key)
+        if positions is None:
+            positions = self._table[key] = array("i")
         positions.append(start)
-        if self._m:
-            row = prefix[-self._m :]
-            row[self._codes[stop]] += 1
-            prefix.extend(row)
 
     def append(self, x) -> None:
         self._codes.append(int(self.space.quantize(x, self.k)))
@@ -470,14 +456,6 @@ class IncrementalPatternIndex:
         for start in range(len(self._codes) - self.ell):
             self._add(start)
 
-    def _current(self):
-        """The current context's table entry: ``None`` while the stream is
-        shorter than the context, an empty entry if the gram never occurred."""
-        t = len(self._codes)
-        if t < self.ell:
-            return None
-        return self._table.get(tuple(self._codes[t - self.ell :]), ((), ()))
-
     def query(self, j: int):
         """Offsets and following outcomes of the last ``j`` occurrences.
 
@@ -485,29 +463,10 @@ class IncrementalPatternIndex:
         backward-search convention relative to the current stream end; or
         ``None`` when the stream is still shorter than the context.
         """
-        entry = self._current()
-        if entry is None:
-            return None
-        sel = entry[0][-j:]
         end = len(self._codes) - self.ell
+        if end < 0:
+            return None
+        sel = self._table.get(tuple(self._codes[end:]), ())[-j:]
         taus = tuple(end - p for p in reversed(sel))
         samples = tuple(self._values[p + self.ell] for p in reversed(sel))
         return taus, samples, len(sel) < j
-
-    def counts(self, j: int) -> list[int] | None:
-        """Symbol counts of the outcomes that followed the last ``j``
-        occurrences of the current context, indexed by symbol.
-
-        ``None`` when fewer than ``j`` occurrences exist (the search would
-        come back truncated) or the stream is shorter than the context.
-        Needs a finite alphabet.
-        """
-        if not self._m:
-            raise InputError("symbol counts need a finite alphabet")
-        entry = self._current()
-        if entry is None or len(entry[0]) < j:
-            return None
-        m, prefix = self._m, entry[1]
-        hi = len(entry[0]) * m
-        lo = hi - j * m
-        return [a - b for a, b in zip(prefix[hi : hi + m], prefix[lo : lo + m])]

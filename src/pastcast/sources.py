@@ -14,7 +14,7 @@ meaning (e.g. a two-state chain taking values -1.0 and +1.0).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +48,20 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _spawn(seed, count: int) -> list[np.random.SeedSequence]:
+    """The first ``count`` children of ``seed`` (an int or a ``SeedSequence``).
+
+    They equal what ``SeedSequence.spawn`` gives on a fresh object, but
+    ``seed`` is left as it was: ``spawn`` advances its child counter, so
+    a second call with the same object would draw other children.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [
+        np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)
+        for i in range(count)
+    ]
 
 
 def _entropy_bits(pmf: np.ndarray) -> float:
@@ -98,8 +112,7 @@ class _SourceBase:
         raise NotImplementedError
 
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        return np.stack([self.generate(n, np.random.default_rng(s)) for s in ss.spawn(trials)])
+        return np.stack([self.generate(n, np.random.default_rng(s)) for s in _spawn(seed, trials)])
 
     def conditional(self, past) -> np.ndarray:
         raise NotImplementedError
@@ -285,24 +298,25 @@ class MarkovSource(_SourceBase):
     def _walk(self, ctx: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Symbols of chains started at contexts ``ctx``, one row of ``u`` per step.
 
-        Each symbol is the number of its context's cut points below its
-        uniform.  Returns one row per step and one column per chain.
+        Each symbol is the number of its context's cut points at or below
+        its uniform, so a symbol of mass 0 is never drawn.  Returns one row
+        per step and one column per chain.
         """
         m, S = self.alphabet_size, self.alphabet_size**self.order
         if u.shape[1] == 1:
             # One chain: Python floats beat numpy calls on length-1 arrays.
-            # bisect_left counts the sorted cut points below x.
+            # bisect_right counts the sorted cut points at or below x.
             cuts = self._cuts.tolist()
             c = int(ctx[0])
             syms = []
             for x in u[:, 0].tolist():
-                s = bisect_left(cuts[c], x)
+                s = bisect_right(cuts[c], x)
                 syms.append(s)
                 c = (c * m + s) % S
             return np.array(syms, dtype=np.int64)[:, None]
         out = np.empty(u.shape, dtype=np.int64)
         for t, x in enumerate(u):
-            sym = (x[:, None] > self._cuts[ctx]).sum(axis=1)
+            sym = (x[:, None] >= self._cuts[ctx]).sum(axis=1)
             out[t] = sym
             ctx = (ctx * m + sym) % S
         return out

@@ -290,7 +290,7 @@ def ref_markov_draws(transition, context_law, order, trials, n, rng):
     The first contexts come from ``rng.choice`` over ``context_law``.  A
     symmetric binary chain of order 1 then draws a (trials, n - 1) array of
     flips at once; any other chain draws one uniform per trial and step,
-    and the symbol is the number of cut points below it.
+    and the symbol is the number of cut points at or below it.
     """
     m = len(transition[0])
     n_ctx = m**order
@@ -311,7 +311,7 @@ def ref_markov_draws(transition, context_law, order, trials, n, rng):
     for _ in range(order, n):
         us = rng.random(trials).tolist()
         for i, u in enumerate(us):
-            s = sum(u > c for c in cuts[ctxs[i]])
+            s = sum(c <= u for c in cuts[ctxs[i]])
             out[i].append(s)
             ctxs[i] = (ctxs[i] * m + s) % n_ctx
     return out

@@ -146,7 +146,7 @@ def _consistency_sweep():
         for n in grid:
             recent = chron[len(chron) - n :]
             oracle = src.conditional(recent)
-            est = estimate_truncated(SamplePath.from_chronological(recent), sched, BIN)
+            est, _ = estimate_truncated(SamplePath.from_chronological(recent), sched, BIN)
             defaults[n] += est.default_used
             # mean absolute per-symbol error of the estimated next-outcome law
             errs[n].append(float(np.abs(est.pmf - oracle).mean()))
@@ -210,7 +210,7 @@ def test_criterion_05_real_valued_estimator():
             recent_sym = sym[len(sym) - n :]
             recent = values[len(values) - n :]
             oracle = src.conditional(recent_sym)  # pmf over (-1, +1)
-            est = estimate_truncated(SamplePath.from_chronological(recent), sched, hierarchy)
+            est, _ = estimate_truncated(SamplePath.from_chronological(recent), sched, hierarchy)
             if est.default_used:
                 p_plus = 0.5
                 est_mean = 0.0
@@ -484,7 +484,7 @@ def test_criterion_12_drifting_source_figure_data(tmp_path):
         for n in grid:
             recent = chron[len(chron) - n :]
             oracle = src.conditional(recent)
-            est = estimate_truncated(SamplePath.from_chronological(recent), sched, space)
+            est, _ = estimate_truncated(SamplePath.from_chronological(recent), sched, space)
             x = int(recent[-1])  # a fixed query point: the symbol just seen
             pointwise = abs(float(est.pmf[x]) - float(oracle[x]))
             l1 = float(np.abs(est.pmf - oracle).sum())

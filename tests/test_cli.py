@@ -140,7 +140,7 @@ def test_estimate_csv_schema_and_rerun_is_byte_identical(tmp_path):
 
 
 def test_estimate_rejects_other_estimators(tmp_path):
-    cfg = write_config(tmp_path, estimator="cesaro")
+    cfg = write_config(tmp_path, estimator="side_info")
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
@@ -165,8 +165,16 @@ VALUED = {"preset": "markov_stay90", "values": [-1.0, 1.0]}
         ("predict", {"estimator": "cesaro"}, "estimator"),
         ("predict", {"estimator": "side_info"}, "estimator"),
         ("predict", {"loss": "hamming", "source": VALUED, "schedule": {"mode": "real"}}, "loss"),
+        ("divergence-curve", {"estimator": "cesaro"}, "estimator"),
     ],
-    ids=["estimate-cesaro", "curve-real", "predict-cesaro", "predict-side-info", "predict-hamming-real"],
+    ids=[
+        "estimate-cesaro",
+        "curve-real",
+        "predict-cesaro",
+        "predict-side-info",
+        "predict-hamming-real",
+        "curve-cesaro",
+    ],
 )
 def test_rejected_runs_leave_no_output_directory(tmp_path, capsys, command, overrides, field):
     cfg = write_config(tmp_path, **overrides)
@@ -178,7 +186,7 @@ def test_rejected_runs_leave_no_output_directory(tmp_path, capsys, command, over
 
 
 def test_divergence_curve_refuses_quadratic_lz78(tmp_path, capsys):
-    cfg = write_config(tmp_path, estimator="cesaro", model="lz78", n_grid=[1_000, 100_000])
+    cfg = write_config(tmp_path, model="lz78", n_grid=[1_000, 100_000])
     out = tmp_path / "lz"
     assert main(["divergence-curve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -189,7 +197,7 @@ def test_divergence_curve_refuses_quadratic_lz78(tmp_path, capsys):
 
 
 def test_divergence_curve_runs_small_lz78(tmp_path):
-    cfg = write_config(tmp_path, estimator="cesaro", model="lz78", n_grid=[20, 60])
+    cfg = write_config(tmp_path, model="lz78", n_grid=[20, 60])
     out = tmp_path / "lz"
     assert main(["divergence-curve", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "divergence.csv")
@@ -223,9 +231,7 @@ def test_recurrence_stats_artifacts(tmp_path):
 
 
 def test_divergence_curve_artifacts(tmp_path):
-    cfg = write_config(
-        tmp_path, estimator="cesaro", model="kt_mixture", model_order=2, n_grid=[50, 150]
-    )
+    cfg = write_config(tmp_path, model="kt_mixture", model_order=2, n_grid=[50, 150])
     out = tmp_path / "div"
     assert main(["divergence-curve", "--config", str(cfg), "--out", str(out)]) == 0
     rows = read_csv(out / "divergence.csv")
@@ -238,7 +244,6 @@ def test_divergence_curve_artifacts(tmp_path):
 def test_divergence_curve_rejects_real_mode(tmp_path):
     cfg = write_config(
         tmp_path,
-        estimator="cesaro",
         source={"preset": "markov_stay90", "values": [-1.0, 1.0]},
         schedule={"mode": "real"},
     )

@@ -99,6 +99,7 @@ def test_override_drops_none():
         {"source": REAL_SOURCE, "schedule": {"max_level": "x", "mode": "real"}},
         {"source": REAL_SOURCE, "schedule": {"j0": 2.7, "mode": "real"}},
         {"source": REAL_SOURCE, "schedule": {"j_growth": "3", "mode": "real"}},
+        {"estimator": "cesaro"},
     ],
 )
 def test_validate_rejects(patch):
@@ -110,6 +111,15 @@ def test_validate_rejects(patch):
 
 def test_validate_accepts_defaults():
     assert ExperimentConfig().validate() is not None
+
+
+def test_readme_configs_validate():
+    """Every JSON block of the README is a config that passes validation."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) >= 5
+    for block in blocks:
+        ExperimentConfig.from_dict(json.loads(block)).validate()
 
 
 def test_real_mode_needs_numeric_values():

@@ -17,7 +17,7 @@ from pastcast.estimators import (
     truncated_parameters,
 )
 from pastcast.quantize import Alphabet, IntervalFieldHierarchy
-from pastcast.recurrence import SamplePath
+from pastcast.recurrence import SamplePath, backward_recurrences
 
 from _reference import ref_backward_taus, ref_estimate
 
@@ -164,20 +164,25 @@ def test_estimate_fixed_k_real_mode_keeps_raw_values():
 
 def test_estimate_truncated_falls_back():
     s = FiniteAlphabetSchedule(alphabet_size=2, epsilon=0.5)
-    # context longer than the whole path: immediate default
-    short = SamplePath.from_chronological([0, 1])
-    d = estimate_truncated(short, s, BIN)
+    # context longer than the whole path: immediate default, no search record
+    d, rec = estimate_truncated(SamplePath.from_chronological(np.array([], dtype=np.int64)), s, BIN)
+    assert d.default_used and rec is None
+    # a path too short for J recurrences: default, with the truncated record
+    d, rec = estimate_truncated(SamplePath.from_chronological([0, 1]), s, BIN)
     assert d.default_used
+    assert rec.truncated and rec.taus == () and rec.lam is None
     # the current context never occurred before: search truncates, default again
     p = SamplePath.from_chronological([1, 1, 1, 1, 1, 1, 1, 0])
     k, ell, j = truncated_parameters(s, p.n)
     assert ref_estimate(p.chronological().tolist(), ell, j, 2) is None
-    d = estimate_truncated(p, s, BIN)
+    d, rec = estimate_truncated(p, s, BIN)
     assert d.default_used
+    assert rec == backward_recurrences(p, k, ell, j, BIN) and rec.truncated
     # a healthy periodic path estimates cleanly
-    ok = estimate_truncated(SamplePath.from_chronological([0, 1] * 40), s, BIN)
+    ok, rec = estimate_truncated(SamplePath.from_chronological([0, 1] * 40), s, BIN)
     assert not ok.default_used
     assert ok.pmf.tolist() == [1.0, 0.0]
+    assert not rec.truncated and rec.lam == 3 + 16
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sequential models: KT mixture, incremental-parsing tree, compound."""
+"""Sequential models: KT mixture, incremental-parsing tree, the shared interface."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pastcast import models
 from pastcast.errors import InputError
-from pastcast.models import KTMixtureModel, LZ78Model, compound_model
+from pastcast.models import KTMixtureModel, LZ78Model, SequentialModel
 
 from _reference import (
     ref_kt_component_marginal,
@@ -242,11 +242,29 @@ def test_lz78_parses_phrases():
 
 
 # ---------------------------------------------------------------------------
-# compound
+# compound: a model induced by a family of conditional estimators
+
+
+class _CompoundModel(SequentialModel):
+    """Predicts ``fn(history)``, the history a tuple of the symbols so far."""
+
+    def __init__(self, fn, alphabet_size):
+        super().__init__(alphabet_size)
+        self._fn = fn
+        self._history = []
+
+    def fresh(self):
+        return _CompoundModel(self._fn, self.alphabet_size)
+
+    def _predict(self):
+        return self._fn(tuple(self._history))
+
+    def _advance(self, x):
+        self._history.append(x)
 
 
 def test_compound_model_wraps_function():
-    m = compound_model(lambda hist: [0.25, 0.75] if len(hist) % 2 == 0 else [0.75, 0.25], 2)
+    m = _CompoundModel(lambda hist: [0.25, 0.75] if len(hist) % 2 == 0 else [0.75, 0.25], 2)
     assert m.predict().tolist() == [0.25, 0.75]
     m.update(1)
     assert m.predict().tolist() == [0.75, 0.25]
@@ -255,6 +273,6 @@ def test_compound_model_wraps_function():
 
 
 def test_compound_model_rejects_bad_pmf():
-    m = compound_model(lambda hist: [0.0, 1.0], 2)
+    m = _CompoundModel(lambda hist: [0.0, 1.0], 2)
     with pytest.raises(InputError):
         m.predict()  # zero mass breaks the positivity contract

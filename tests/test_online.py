@@ -18,12 +18,10 @@ from pastcast.online import (
     LossLedger,
     OnlinePatternEstimator,
     OnlineSideInfoEstimator,
-    classify_next,
     hamming_loss,
     plug_in_action,
     predict_class,
     predict_regression,
-    regress_next,
     run_online,
     run_online_side_info,
     squared_loss,
@@ -94,14 +92,6 @@ def test_losses():
     assert squared_loss(2.0, 0.5) == pytest.approx(2.25)
 
 
-def test_one_shot_helpers_match_pipeline():
-    sched = FiniteAlphabetSchedule(2, epsilon=0.5)
-    past = [0, 1] * 20
-    est = estimate_truncated(SamplePath.from_chronological(past), sched, BIN)
-    assert classify_next(past, sched, BIN) == predict_class(est)
-    assert regress_next(past, sched, BIN, [-1.0, 1.0]) == predict_regression(est, [-1.0, 1.0])
-
-
 # ---------------------------------------------------------------------------
 # online pattern estimator == batch estimator, step by step
 
@@ -113,7 +103,7 @@ def test_online_estimator_tracks_batch_estimates(chron):
     online = OnlinePatternEstimator(BIN, sched)
     for t, x in enumerate(chron):
         got = online.current_estimate()
-        want = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, BIN)
+        want, _ = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, BIN)
         assert got.default_used == want.default_used
         assert got.pmf.tolist() == want.pmf.tolist()
         online.update(x)
@@ -133,7 +123,7 @@ def test_online_estimator_tracks_batch_on_long_ternary_path():
     for t, x in enumerate(chron):
         if t % 97 == 0 or (rekeyed_at and t - rekeyed_at[-1] < 3):
             got = online.current_estimate()
-            want = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, TRI)
+            want, _ = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, TRI)
             assert got.default_used == want.default_used
             assert got.pmf.tolist() == want.pmf.tolist()
             compared += 1
@@ -156,7 +146,7 @@ def test_online_estimator_tracks_batch_on_real_values():
     fitted = 0
     for t, x in enumerate(chron):
         got = online.current_estimate()
-        want = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, space)
+        want, _ = estimate_truncated(SamplePath.from_chronological(chron[:t]), sched, space)
         assert got.default_used == want.default_used
         assert got.samples.tolist() == want.samples.tolist()
         fitted += not got.default_used

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pastcast.errors import InputError
-from pastcast.quantize import Alphabet, IntervalFieldHierarchy, quantize, quantize_block
+from pastcast.quantize import Alphabet, IntervalFieldHierarchy
 
 from _reference import ref_interval, ref_quantize
 
@@ -150,6 +150,12 @@ def test_hierarchy_encode_matches_scalar(xs, k):
     assert codes.tolist() == [h.quantize(x, k) for x in xs]
 
 
+def test_encode_a_block_keeps_order():
+    h = IntervalFieldHierarchy()
+    assert h.encode([0.3, -0.3], 2).tolist() == [h.quantize(0.3, 2), h.quantize(-0.3, 2)]
+    assert Alphabet.of_size(2).encode([1, 0, 1], 2).tolist() == [1, 0, 1]
+
+
 def test_hierarchy_interval_ids_partition_the_line():
     h = IntervalFieldHierarchy()
     k = 3
@@ -163,22 +169,3 @@ def test_hierarchy_interval_ids_partition_the_line():
     assert edges[0][0] == -math.inf and edges[-1][1] == math.inf
     with pytest.raises(InputError):
         h.interval(k, h.atom_count(k))
-
-
-# ---------------------------------------------------------------------------
-# module-level helpers
-
-
-def test_quantize_helpers_dispatch():
-    h = IntervalFieldHierarchy()
-    a = Alphabet.of_size(2)
-    assert quantize(h, 0.3, 2) == h.quantize(0.3, 2)
-    assert quantize(a, 1, 2) == 1
-    assert quantize_block(h, [0.3, -0.3], 2) == (
-        h.quantize(0.3, 2),
-        h.quantize(-0.3, 2),
-    )
-    with pytest.raises(InputError):
-        quantize_block(h, [], 2)
-    with pytest.raises(InputError):
-        quantize_block(h, [[0.1], [0.2]], 2)

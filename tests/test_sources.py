@@ -258,14 +258,36 @@ def test_markov_draws_stay_in_range_at_the_top_uniform():
         walk = src._walk(np.zeros(trials, dtype=np.int64), np.full((50, trials), top))
         assert walk.shape == (50, trials)
         assert (walk == 1).all()
-        # a uniform on a cut point is not above it: u > cum is strict
-        assert (src._walk(np.zeros(trials, dtype=np.int64), np.full((1, trials), 0.5)) == 0).all()
+        # a uniform on a cut point passes it
+        assert (src._walk(np.zeros(trials, dtype=np.int64), np.full((1, trials), 0.5)) == 1).all()
     ternary = MarkovSource([[0.7, 0.2, 0.1]] * 3)
     for trials in (1, 4):
         walk = ternary._walk(np.arange(trials) % 3, np.full((50, trials), top))
         assert (walk == 2).all()
         # the bottom uniform draws the first symbol with mass
         assert (ternary._walk(np.arange(trials) % 3, np.zeros((50, trials))) == 0).all()
+
+
+def test_markov_draws_skip_zero_mass_symbols():
+    """A draw is the count of cut points at or below its uniform, on both routes.
+
+    Each context here forbids one symbol, so some cut points repeat and the
+    bottom uniform and the uniforms exactly on a cut point are the draws
+    that could land on a symbol of mass 0.
+    """
+    T = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+    src = MarkovSource(T)
+    # (context, uniform) -> symbol; cut points are (0, .5), (.5, .5), (.5, 1)
+    want = {(0, 0.0): 1, (0, 0.5): 2, (1, 0.0): 0, (1, 0.5): 2, (2, 0.0): 0, (2, 0.5): 1}
+    for (ctx, u), sym in want.items():
+        assert T[ctx][sym] > 0.0
+        for trials in (1, 4):  # the one-chain route and the array route
+            step = src._walk(np.full(trials, ctx, dtype=np.int64), np.full((1, trials), u))
+            assert (step == sym).all()
+    # from context 0, u = 0 twice: 0 -> 1, then context 1 draws 0
+    for trials in (1, 4):
+        walk = src._walk(np.zeros(trials, dtype=np.int64), np.zeros((2, trials)))
+        assert walk[:, 0].tolist() == [1, 0]
 
 def test_markov_validation():
     with pytest.raises(InputError):
@@ -441,6 +463,14 @@ def test_seed_sequence_accepted_everywhere():
     ba = src.generate_batch(8, 32, np.random.SeedSequence(5))
     bb = src.generate_batch(8, 32, np.random.SeedSequence(5))
     assert np.array_equal(ba, bb)
+    # The shared batch route draws trial i from child i, as spawn gives it
+    # on a fresh object, and leaves the object passed in as it was.
+    ry = get_preset("ryabco_alt")
+    ss = np.random.SeedSequence(3)
+    first = ry.generate_batch(4, 40, ss)
+    assert np.array_equal(ry.generate_batch(4, 40, ss), first)
+    children = np.random.SeedSequence(3).spawn(4)
+    assert first.tolist() == [ry.generate(40, np.random.default_rng(c)).tolist() for c in children]
 
 
 def test_numeric_values_plumbing():
