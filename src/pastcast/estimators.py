@@ -26,6 +26,7 @@ from .quantize import Alphabet, IntervalFieldHierarchy, OutcomeSpace
 from .recurrence import (
     RecurrenceRecord,
     SamplePath,
+    _paired_code_bytes,
     _record_from_taus,
     _search,
     _validate_query,
@@ -380,9 +381,9 @@ def estimate_with_side_info(
     if x_path.n != y_path.n:
         raise InputError("main and side paths must have equal length")
     _validate_query(x_path.n, ell, j)
-    yq = y_path.codes(y_space, k)
-    gate = yq == y_space.quantize(y_now, k)
-    taus = _search((x_path.codes(x_space, k), yq), ell, j, gate)
+    gate = y_path.codes(y_space, k) == y_space.quantize(y_now, k)
+    buf, width = _paired_code_bytes(x_path, y_path, x_space, y_space, k)
+    taus = _search(buf, width, ell, j, gate)
     record = _record_from_taus(taus, ell, j)
     if record.truncated:
         raise InsufficientDataError(j, record.achieved_j, record=record)

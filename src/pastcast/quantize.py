@@ -69,12 +69,17 @@ class Alphabet:
         raise InputError(f"{x!r} is not a symbol index in [0, {self.size})")
 
     def encode(self, xs, k: int) -> np.ndarray:
+        """Symbol indices as int64; integer input may come back as itself.
+
+        An integer array needs only the range check: a ``uint64`` value
+        above ``2**63`` wraps negative in the cast and fails it.
+        """
         arr = np.asarray(xs)
         try:
-            codes = arr.astype(np.int64)
+            codes = arr.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError):
             raise InputError("path values must be symbol indices for this alphabet") from None
-        if not np.array_equal(codes, arr) or (
+        if (arr.dtype.kind not in "iu" and not np.array_equal(codes, arr)) or (
             codes.size and (codes.min() < 0 or codes.max() >= self.size)
         ):
             raise InputError("path values must be symbol indices for this alphabet")

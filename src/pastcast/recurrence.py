@@ -9,9 +9,12 @@ mirror image: the pattern is the oldest ``ell`` cells and the walk moves
 toward the recent end.  Offsets count whole-window shifts, so an offset
 ``t`` means the window ``ell + t, ..., 1 + t`` steps back matched.
 
-One search core serves both directions.  It filters offsets a window at
-a time and stops at the requested count, so its work grows with the
-search depth, not with the path length.
+One search core serves both directions.  A path's cell ids are packed
+into one byte string of fixed-width codes, the narrowest of 1, 2, 4 or 8
+bytes that holds every cell id of the level, and ``bytes.find`` walks it
+from one hit to the next.  A hit that does not start on a code boundary
+is skipped.  The search stops at the requested count, so its work grows
+with the search depth, not with the path length.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class SamplePath:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_encoded", None)
 
-    def codes(self, space: OutcomeSpace, k: int) -> np.ndarray:
-        """The path's cell ids at level ``k``, most recent first.
+    def _encoding(self, space: OutcomeSpace, k: int) -> tuple:
+        """``(space, level, codes, code bytes, code width)`` at level ``k``.
 
         The last encoding is kept, keyed by what determines it: the space
         object, plus the level on the interval hierarchy (alphabet codes do
@@ -74,9 +77,18 @@ class SamplePath:
         if memo is None or memo[0] is not space or memo[1] != level:
             codes = space.encode(self.values, k)
             codes.setflags(write=False)
-            memo = (space, level, codes)
+            width = _code_width(space.atom_count(k))
+            memo = (space, level, codes, codes.astype(f"u{width}").tobytes(), width)
             object.__setattr__(self, "_encoded", memo)
-        return memo[2]
+        return memo
+
+    def codes(self, space: OutcomeSpace, k: int) -> np.ndarray:
+        """The path's cell ids at level ``k``, most recent first."""
+        return self._encoding(space, k)[2]
+
+    def code_bytes(self, space: OutcomeSpace, k: int) -> tuple[bytes, int]:
+        """:meth:`codes` packed into one byte string, and the bytes per code."""
+        return self._encoding(space, k)[3:]
 
     @classmethod
     def from_chronological(cls, seq) -> "SamplePath":
@@ -136,30 +148,52 @@ def _validate_query(n: int, ell: int, j: int) -> None:
         raise InputError(f"context length {ell} exceeds path length {n}")
 
 
-def _search(streams, ell: int, j: int, gate=None) -> list[int]:
-    """First ``j`` offsets ``t`` in ``[1, n - ell]`` where every stream's
-    block at ``t`` equals its block at 0 (and ``gate[t - 1]`` holds, if given).
+def _code_width(cells: int) -> int:
+    """Bytes per code: the narrowest of 1, 2, 4 or 8 that holds ``cells`` ids."""
+    return next(w for w in (1, 2, 4, 8) if cells <= 256**w)
 
-    Offsets are filtered in order, a window at a time, each window four
-    times wider than the last, until ``j`` match: the work grows with the
-    depth reached, not with ``n``.
+
+def _paired_code_bytes(
+    x_path: SamplePath, y_path: SamplePath, x_space: OutcomeSpace, y_space: OutcomeSpace, k: int
+) -> tuple[bytes, int]:
+    """Both paths' codes as one byte string of (main, side) pair codes, and
+    the bytes per pair.
+
+    A pair code is the main code's bytes followed by the side code's: the
+    product ``x * m_y + y`` would not fit in 64 bits for two interval
+    hierarchies from level 27 on.
     """
-    first = streams[0]
-    last = first.size - ell
-    checks = [(s, i) for i in range(ell) for s in streams][1:]  # (first, 0) picks candidates
+    wx, wy = (_code_width(s.atom_count(k)) for s in (x_space, y_space))
+    pairs = np.empty(x_path.n, dtype=[("x", f"u{wx}"), ("y", f"u{wy}")])
+    pairs["x"], pairs["y"] = x_path.codes(x_space, k), y_path.codes(y_space, k)
+    return pairs.tobytes(), wx + wy
+
+
+def _search(buf: bytes, width: int, ell: int, j: int, gate=None) -> list[int]:
+    """First ``j`` offsets ``t`` in ``[1, n - ell]`` where the block of
+    ``ell`` codes at ``t`` equals the block at 0 (and ``gate[t - 1]``
+    holds, if given).
+
+    ``buf`` holds ``n`` codes of ``width`` bytes each.  ``bytes.find``
+    jumps from one hit to the next, so the work grows with the depth
+    reached, not with ``n``.  A hit off a code boundary straddles two
+    codes and is skipped.
+    """
+    find = buf.find
+    pattern = buf[: ell * width]
     taus: list[int] = []
-    lo, width = 1, max(1024, 16 * j)
-    while lo <= last and len(taus) < j:
-        hi = min(last, lo + width - 1)
-        cand = lo + np.flatnonzero(first[lo : hi + 1] == first[0])
-        if gate is not None:
-            cand = cand[gate[cand - 1]]
-        for s, i in checks:
-            if cand.size == 0:
+    pos = find(pattern, width)
+    while pos >= 0:
+        skew = pos % width
+        if skew:
+            pos = find(pattern, pos - skew + width)
+            continue
+        t = pos // width
+        if gate is None or gate[t - 1]:
+            taus.append(t)
+            if len(taus) == j:
                 break
-            cand = cand[s[cand + i] == s[i]]
-        taus.extend(cand[: j - len(taus)].tolist())
-        lo, width = hi + 1, 4 * width
+        pos = find(pattern, pos + width)
     return taus
 
 
@@ -185,7 +219,7 @@ def backward_recurrences(
     comes back truncated.
     """
     _validate_query(path.n, ell, j)
-    return _record_from_taus(_search((path.codes(space, k),), ell, j), ell, j)
+    return _record_from_taus(_search(*path.code_bytes(space, k), ell, j), ell, j)
 
 
 def forward_recurrences(
@@ -202,7 +236,9 @@ def forward_recurrences(
     window shifted ``t`` steps toward the present matched the pattern.
     """
     _validate_query(path.n, ell, j)
-    return _record_from_taus(_search((path.codes(space, k)[::-1],), ell, j), ell, j)
+    buf, width = path.code_bytes(space, k)
+    # Reversing the bytes reverses each code's bytes too, alike for every code.
+    return _record_from_taus(_search(buf[::-1], width, ell, j), ell, j)
 
 
 def avg_inter_recurrence(record: RecurrenceRecord) -> float:
@@ -295,9 +331,10 @@ class KacRow:
 def _first_recurrence_taus(storage: np.ndarray, k: int) -> np.ndarray:
     """First backward recurrence offset per row (0 marks none found).
 
-    As in :func:`_search`, offsets are compared a window at a time, each
-    window four times wider than the last, and only rows still without a
-    match go on to the next window.
+    All rows are compared at once, over windows of offsets that grow four
+    times wider each round; only rows still without a match go on to the
+    next window, so a block's work follows its slowest rows, not the path
+    length.
     """
     n_rows, path_length = storage.shape
     last = path_length - k
@@ -354,6 +391,10 @@ def kac_diagnostic(
     n_trials, path_length = int(n_trials), int(path_length)
     n_blocks = -(-n_trials // _KAC_TRIAL_BLOCK)
 
+    m = int(source.alphabet_size)
+    # A pattern's id reads its symbols as a base-m number; Python ints where
+    # m**k passes int64, since wrapped ids could merge two patterns.
+    id_dtype = np.int64 if m**k < 2**63 else object
     # pattern (chronological) -> [sum of taus, resolved count, unresolved count]
     stats: dict[tuple[int, ...], list[int]] = {}
     for b, child in enumerate(_spawn(seed, n_blocks)):
@@ -361,16 +402,22 @@ def kac_diagnostic(
         batch = np.asarray(source.generate_batch(size, path_length, child))
         storage = batch[:, ::-1]  # most recent outcome first, per row
         tau = _first_recurrence_taus(storage, k)
-        chron = storage[:, :k][:, ::-1]
-        uniq, inverse = np.unique(chron, axis=0, return_inverse=True)
-        for i, pat in enumerate(uniq):
-            pat_t = tuple(int(s) for s in pat)
-            sel = tau[inverse == i]
-            resolved = sel[sel > 0]
-            agg = stats.setdefault(pat_t, [0, 0, 0])
-            agg[0] += int(resolved.sum())
-            agg[1] += int(resolved.size)
-            agg[2] += int(sel.size - resolved.size)
+        chron = storage[:, k - 1 :: -1]
+        ids = np.zeros(size, dtype=id_dtype)
+        for col in chron.astype(id_dtype).T:
+            ids = ids * m + col
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        tau_sums = np.zeros(first.size, dtype=np.int64)
+        np.add.at(tau_sums, inverse, tau)  # unresolved trials add 0
+        hits = np.bincount(inverse[tau > 0], minlength=first.size)
+        trials = np.bincount(inverse, minlength=first.size)
+        for pat, tau_sum, hit, total in zip(
+            chron[first].tolist(), tau_sums.tolist(), hits.tolist(), trials.tolist()
+        ):
+            agg = stats.setdefault(tuple(pat), [0, 0, 0])
+            agg[0] += tau_sum
+            agg[1] += hit
+            agg[2] += total - hit
 
     wanted = None if patterns is None else {tuple(int(s) for s in p) for p in patterns}
     if wanted is not None:

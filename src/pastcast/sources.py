@@ -138,6 +138,10 @@ class _SourceBase:
         raise UnsupportedQueryError(f"no innovation oracle for {self.kind}")
 
 
+# Uniforms per i.i.d. draw chunk: 512 KiB of doubles stays in cache.
+_DRAW_CHUNK = 65536
+
+
 class IIDSource(_SourceBase):
     """Independent draws from a fixed pmf.
 
@@ -169,11 +173,18 @@ class IIDSource(_SourceBase):
         return self._draw(_rng(seed), (int(trials), int(n)))
 
     def _draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        # choice's cdf.searchsorted(u, side="right"), as sums of u >= c.
-        u = rng.random(shape)
-        out = np.greater_equal(u, self._cuts[0], out=np.empty(u.shape, dtype=np.int64))
-        for c in self._cuts[1:]:
-            out += u >= c
+        # choice's cdf.searchsorted(u, side="right"), as sums of u >= c.  The
+        # uniforms come a cache-sized chunk at a time; each double takes one
+        # 64-bit draw, so the stream is the same as one whole-shape call.
+        out = np.empty(shape, dtype=np.int64)
+        flat = out.reshape(-1)
+        buf = np.empty(max(1, min(flat.size, _DRAW_CHUNK)))
+        for lo in range(0, flat.size, buf.size):
+            dst = flat[lo : lo + buf.size]
+            u = rng.random(out=buf[: dst.size])
+            np.greater_equal(u, self._cuts[0], out=dst)
+            for c in self._cuts[1:]:
+                dst += u >= c
         return out
 
     def conditional(self, past) -> np.ndarray:

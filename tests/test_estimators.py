@@ -19,7 +19,7 @@ from pastcast.estimators import (
 from pastcast.quantize import Alphabet, IntervalFieldHierarchy
 from pastcast.recurrence import SamplePath, backward_recurrences
 
-from _reference import ref_backward_taus, ref_estimate
+from _reference import ref_backward_taus, ref_estimate, ref_quantize
 
 BIN = Alphabet.of_size(2)
 
@@ -242,6 +242,33 @@ def test_side_info_long_path_matches_brute_force(ell, j):
         _, rec = estimate_with_side_info(xp, yp, 1, 1, ell, j, BIN, BIN)
         assert list(rec.taus) == expect
         assert expect[-1] > 1024
+
+
+@pytest.mark.parametrize(
+    "x_space, k",
+    [(BIN, 1), (IntervalFieldHierarchy(), 5)],
+    ids=["binary-main", "real-main"],
+)
+@pytest.mark.parametrize("ell, j", [(1, 32), (3, 8)])
+def test_side_info_with_ternary_side_channel_matches_brute_force(x_space, k, ell, j):
+    """A 3-symbol side channel, beside 1-byte and (real main) 2-byte main codes."""
+    tri = Alphabet.of_size(3)
+    rng = np.random.default_rng(10 * ell + k)
+    if x_space is BIN:
+        xs = rng.integers(0, 2, size=6000).tolist()
+        x_codes = xs
+    else:
+        xs = (rng.integers(0, 2, size=6000) * 1.5 - 0.75).tolist()
+        x_codes = [ref_quantize(x, k) for x in xs]
+    ys = rng.integers(0, 3, size=6000).tolist()
+    expect = _ref_side_info(x_codes, ys, 2, ell, j)
+    xp = SamplePath.from_chronological(xs)
+    yp = SamplePath.from_chronological(ys)
+    try:
+        _, rec = estimate_with_side_info(xp, yp, 2, k, ell, j, x_space, tri)
+    except InsufficientDataError as err:
+        rec = err.record
+    assert list(rec.taus) == expect
 
 
 def test_side_info_validation():

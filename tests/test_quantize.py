@@ -45,6 +45,31 @@ def test_alphabet_quantize_rejects_non_symbols():
         a.encode([0.5], 1)
 
 
+@pytest.mark.parametrize(
+    "xs, ok",
+    [
+        pytest.param(np.array([1, 2**63 + 1], dtype=np.uint64), False, id="uint64-above-2**63"),
+        pytest.param(np.array([1, 2], dtype=np.uint64), True, id="uint64"),
+        pytest.param(np.array([0, -1]), False, id="negative-int64"),
+        pytest.param(np.array([-3], dtype=np.int8), False, id="negative-int8"),
+        pytest.param(np.array([0.5]), False, id="half"),
+        pytest.param(np.array([2.0, 1.0]), True, id="whole-floats"),
+        pytest.param(np.array([True, False]), True, id="bool"),
+        pytest.param(np.array([1, 0], dtype=object), True, id="object"),
+    ],
+)
+def test_alphabet_encode_checks_every_dtype(xs, ok):
+    """Integer input gets the range check only; other dtypes also the exact cast."""
+    a = Alphabet.of_size(3)
+    if not ok:
+        with pytest.raises(InputError):
+            a.encode(xs, 1)
+        return
+    codes = a.encode(xs, 1)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [a.quantize(x, 1) for x in xs.tolist()]
+
+
 def test_alphabet_numeric_values():
     a = Alphabet.of_size(2, values=(-1.0, 1.0))
     assert a.numeric_value(0) == -1.0

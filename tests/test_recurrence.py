@@ -18,7 +18,7 @@ from pastcast.recurrence import (
     growth_rate_diagnostic,
     kac_diagnostic,
 )
-from pastcast.sources import MarkovSource, build_source
+from pastcast.sources import MarkovSource, PeriodicSource, build_source
 
 from _reference import (
     ref_backward_taus,
@@ -171,6 +171,48 @@ def test_multi_window_search_matches_reference(case):
             assert expect[-1] == n - ell
 
 
+@pytest.mark.parametrize("k, width", [(5, 2), (12, 4), (28, 8)])
+def test_wide_code_search_matches_reference(k, width):
+    """Levels whose cell ids need 2, 4 and 8 bytes per code."""
+    space = IntervalFieldHierarchy()
+    # Both tails, cells either side of 0, and neighbours on the 1/512 grid.
+    grid = [-40.0, -1.5, -3 / 512, 0.0, 1 / 512, 2.25, 40.0]
+    chron = np.random.default_rng(k).choice(grid, size=4000).tolist()
+    codes = [ref_quantize(x, k) for x in chron]
+    p = SamplePath.from_chronological(chron)
+    assert p.code_bytes(space, k)[1] == width
+    for search, ref in (
+        (backward_recurrences, ref_backward_taus),
+        (forward_recurrences, ref_forward_taus),
+    ):
+        for ell, j in ((1, 64), (3, 16), (5, 4)):
+            assert list(search(p, k, ell, j, space).taus) == ref(codes, ell, j_max=j)
+
+
+def test_search_skips_hits_off_code_boundaries():
+    """Two-byte codes whose bytes spell the pattern at odd byte offsets."""
+    space = Alphabet.of_size(65536)
+    pattern = bytes([7, 9, 11, 13])  # two codes
+    decoy = bytes([5]) + pattern + bytes([5])  # three codes, pattern at byte 1
+    half = pattern + (decoy * 3 + pattern) * 20
+    # Stored bytes, most recent code first; a byte palindrome, so the forward
+    # search (over the reversed bytes) meets the same decoys.
+    stored = half + half[::-1]
+    assert stored.find(pattern, 2) % 2 == 1
+    p = SamplePath(np.frombuffer(stored, dtype=np.uint16))
+    assert p.code_bytes(space, 1) == (stored, 2)
+    chron = p.chronological().tolist()
+    for search, ref in (
+        (backward_recurrences, ref_backward_taus),
+        (forward_recurrences, ref_forward_taus),
+    ):
+        for ell, j in ((1, 30), (2, 30), (3, 5)):
+            expect = ref(chron, ell, j_max=j)
+            assert list(search(p, 1, ell, j, space).taus) == expect
+            if ell == 2:  # the aligned copies of the pattern, every 11 codes
+                assert expect[:20] == list(range(11, 221, 11))
+
+
 def test_avg_inter_recurrence():
     p = SamplePath.from_chronological([0, 1, 0, 1, 0, 1])
     rec = backward_recurrences(p, 1, 1, 2, BIN)
@@ -321,17 +363,22 @@ def test_kac_diagnostic_chunking_invariant():
 
     The paths of 400 outcomes take the windowed scan past its first two
     windows (offsets 1-64 and 65-320), and some trials stay unresolved.
+    The last two cases have more patterns (2**64, 3**40) than int64 ids.
+    Rows come sorted by pattern.
     """
     cases = [
         (build_source("markov_stay90"), 1, 64),
         (build_source("iid_fair"), 6, 400),
         (MarkovSource([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]]), 2, 90),
+        (build_source("periodic01"), 64, 70),
+        (PeriodicSource((0, 1, 2, 2, 1)), 40, 60),
     ]
     unresolved = 0
     for src, k, length in cases:
         rows = kac_diagnostic(src, k=k, n_trials=3000, path_length=length, seed=5)
         want = ref_kac(src, k, 3000, length, seed=5)
         assert {r.pattern: (r.hits, r.unresolved, r.empirical_mean) for r in rows} == want
+        assert [r.pattern for r in rows] == sorted(want)
         assert sum(r.hits + r.unresolved for r in rows) == 3000
         unresolved += sum(r.unresolved for r in rows)
     assert unresolved > 0

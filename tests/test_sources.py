@@ -107,14 +107,29 @@ def test_iid_draws_equal_generator_choice(pmf, make_seed):
     assert set(np.unique(batch).tolist()) == {s for s in range(m) if pmf[s] > 0}
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [65535, 65536, 65537, (3, 50_000)],
+    ids=["chunk-1", "chunk", "chunk+1", "rows-straddle-chunks"],
+)
+def test_iid_draws_across_chunk_boundaries(shape):
+    """Uniforms come in chunks of 65536; the draws still equal one choice call."""
+    pmf = (0.1, 0.2, 0.3, 0.4)
+    got = IIDSource(pmf)._draw(np.random.default_rng(5), shape)
+    assert np.array_equal(got, np.random.default_rng(5).choice(4, size=shape, p=pmf))
+
+
 class _FixedUniforms:
     """Stands in for a Generator whose next uniforms are given."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
+        self.used = 0
 
-    def random(self, shape):
-        return self.u.reshape(shape)
+    def random(self, *, out):
+        out[:] = self.u[self.used : self.used + out.size]
+        self.used += out.size
+        return out
 
 
 @pytest.mark.parametrize("pmf", IID_DRAW_PMFS)
