@@ -62,11 +62,16 @@ def main(argv=None) -> int:
         RUNNERS[args.command](config, Path(config.out_dir))
         return EXIT_OK
     except (ConfigError, InputError) as err:
-        print(f"pastcast: {err}", file=sys.stderr)
+        _report(err)
         return EXIT_VALIDATION
     except (PastcastError, OSError) as err:
-        print(f"pastcast: {err}", file=sys.stderr)
+        _report(err)
         return EXIT_RUNTIME
+
+
+def _report(err: Exception) -> None:
+    # One line, even when the message quotes a config key with line breaks.
+    print("pastcast:", " ".join(str(err).splitlines()), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -121,10 +121,8 @@ def cesaro_estimate(model, path: SamplePath) -> ConditionalDistribution:
 
     For a path of length ``n`` the estimate is the mean of the model's
     next-symbol prediction after consuming, chronologically, the ``t``
-    most recent outcomes, for every ``t < n``.  Models with a
-    ``window_sweep`` (the KT mixture) give every window's prediction from
-    one blocked sweep; anything else is re-run from scratch per window,
-    which costs O(n^2) model steps.
+    most recent outcomes, for every ``t < n``, as the model's
+    ``window_sweep`` gives them.
 
     An empty path returns the model's prior prediction flagged as a
     default.  The supplied model must be blank (nothing consumed yet).
@@ -133,17 +131,9 @@ def cesaro_estimate(model, path: SamplePath) -> ConditionalDistribution:
         raise InputError("cesaro_estimate needs a blank model instance")
     if path.n == 0:
         return ConditionalDistribution.finite(model.predict(), default_used=True)
-    storage = path.values
     acc = np.zeros(model.alphabet_size)
-    if hasattr(model, "window_sweep"):
-        for _, preds, _ in model.window_sweep(storage, path.n):
-            acc = _running_sums(preds, acc)[-1]
-    else:
-        for t in range(path.n):
-            run = model.fresh()
-            for u in range(t - 1, -1, -1):  # chronological order within the window
-                run.update(int(storage[u]))
-            acc += run.predict()
+    for _, preds, _ in model.window_sweep(path.values, path.n):
+        acc = _running_sums(preds, acc)[-1]
     return ConditionalDistribution.finite(acc / path.n)
 
 
@@ -161,13 +151,12 @@ def expected_divergence_curve(
     drawn, the oracle conditional law at its recent end is computed
     exactly, and one ``window_sweep`` of a fresh model gives the Cesàro
     estimate at every grid size ``n`` (which conditions on windows up to
-    ``n - 1``) as running sums of the window predictions.  A model
-    without a sweep is re-run per window for each grid size, O(n^2)
-    steps.  Rows report divergence in bits, variational distance, and the
-    model's realized per-symbol redundancy over the consumed window (swept
-    models only).  With ``track_convexity`` each row also carries the
-    running average of per-window divergences, an upper bound for the
-    divergence of the averaged estimate.
+    ``n - 1``) as running sums of the window predictions.  Rows report
+    divergence in bits, variational distance, and the model's realized
+    per-symbol redundancy over the consumed window (models whose sweep
+    gives component log-likelihoods only).  With ``track_convexity`` each
+    row also carries the running average of per-window divergences, an
+    upper bound for the divergence of the averaged estimate.
 
     Replicas whose oracle query cannot be answered (e.g. a renewal source
     with no reset letter in the window) are skipped.
@@ -184,27 +173,13 @@ def expected_divergence_curve(
             oracle = np.asarray(source.conditional(chron), dtype=float)
         except UnsupportedQueryError:
             continue
-        storage = chron[::-1]
         model = model_factory()
-        if not hasattr(model, "window_sweep"):
-            for n in grid:
-                est = cesaro_estimate(model_factory(), SamplePath(storage[:n].copy()))
-                rows.append(
-                    {
-                        "n": n,
-                        "replica": r,
-                        "kl_bits": kl_divergence(oracle, est.pmf),
-                        "variational": variational_distance(oracle, est.pmf),
-                        "model_redundancy_bits_per_symbol": None,
-                    }
-                )
-            continue
         acc = np.zeros(model.alphabet_size)
         running_kl = 0.0
         support = oracle > 0.0
         targets = iter(grid)
         n = next(targets)
-        for t0, preds, component_ll in model.window_sweep(storage, n_max):
+        for t0, preds, component_ll in model.window_sweep(chron[::-1], n_max):
             sums = _running_sums(preds, acc)
             acc = sums[-1]
             if track_convexity:
@@ -215,7 +190,7 @@ def expected_divergence_curve(
             while n is not None and n <= t0 + len(preds):
                 i = n - 1 - t0  # the window of length n - 1
                 est = sums[i] / n
-                if n > 1:
+                if n > 1 and component_ll is not None:
                     window = chron[n_max - (n - 1) :]
                     redundancy = (
                         source.block_log2_probability(window)

@@ -180,7 +180,6 @@ class FiniteAlphabetSchedule:
     alphabet_size: int
     epsilon: float = 0.5
     known_rate: float | None = None
-    default_measure: ConditionalDistribution | None = None
     budget_fraction: float = 1.0
 
     def __post_init__(self):
@@ -190,12 +189,10 @@ class FiniteAlphabetSchedule:
             raise ConfigError("epsilon", "must lie strictly between 0 and 1")
         if self.known_rate is not None and self.known_rate <= 0.0:
             raise ConfigError("known_rate", "must be positive when given")
+        if self.known_rate is not None and 2.0 ** min(self.known_rate, 1.0) == 1.0:
+            raise ConfigError("known_rate", "is so small that 2**known_rate rounds to 1")
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ConfigError("budget_fraction", "must lie in (0, 1]")
-        if self.default_measure is None:
-            object.__setattr__(
-                self, "default_measure", ConditionalDistribution.uniform(self.alphabet_size)
-            )
 
     @property
     def _base(self) -> float:
@@ -217,16 +214,22 @@ class FiniteAlphabetSchedule:
         return 1.0 / k
 
     def default(self) -> ConditionalDistribution:
-        d = self.default_measure
-        return ConditionalDistribution(pmf=d.pmf, samples=d.samples, default_used=True)
+        return ConditionalDistribution.uniform(self.alphabet_size, default_used=True)
 
     def validate(self, n_grid) -> None:
         """Check the search-depth budget ``J(k(n)) * base**k(n) <= n``.
 
         The budget is asymptotic; it is enforced here for every grid
-        point large enough that the level formula clears 1.
+        point large enough that the level formula clears 1.  Below that
+        point the level is 1 and ``J(1) * base`` is the threshold itself,
+        so a threshold past float range is refused.
         """
-        threshold = self._base ** (1.0 / (1.0 - self.epsilon))
+        try:
+            threshold = self._base ** (1.0 / (1.0 - self.epsilon))
+        except OverflowError:
+            raise ConfigError(
+                "schedule", "epsilon and known_rate put the level-1 sample count past float range"
+            ) from None
         for n in n_grid:
             if n < 2 or n < threshold:
                 continue
@@ -250,15 +253,12 @@ class RealValuedSchedule:
     hierarchy: IntervalFieldHierarchy = field(default_factory=IntervalFieldHierarchy)
     j0: int = 50
     j_growth: float = 3.0
-    default_measure: ConditionalDistribution | None = None
 
     def __post_init__(self):
         if self.j0 < 1:
             raise ConfigError("j0", "must be at least 1")
         if self.j_growth < 1.0:
             raise ConfigError("j_growth", "must be at least 1 so J never shrinks")
-        if self.default_measure is None:
-            object.__setattr__(self, "default_measure", ConditionalDistribution.dirac(0.0))
 
     def ell_of_k(self, k: int) -> int:
         return int(k)
@@ -281,8 +281,7 @@ class RealValuedSchedule:
         return k
 
     def default(self) -> ConditionalDistribution:
-        d = self.default_measure
-        return ConditionalDistribution(pmf=d.pmf, samples=d.samples, default_used=True)
+        return ConditionalDistribution.dirac(0.0, default_used=True)
 
     def validate(self, n_grid) -> None:
         for n in n_grid:

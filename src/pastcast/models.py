@@ -13,12 +13,14 @@ Two concrete model families live here:
   ``prepend`` (extending the consumed window at the *old* end in
   O(max_order) bookkeeping) and :meth:`~KTMixtureModel.window_sweep`, which
   yields its predictions after every suffix window of a path from array
-  operations, in blocks; the averaging estimator uses the sweep.
+  operations, in blocks.
 * :class:`LZ78Model` — an incremental-parsing tree whose node statistics
   drive smoothed next-symbol predictions.
 
 Another model plugs in by subclassing :class:`SequentialModel` with its
-``_predict``, ``_advance`` and ``fresh``.
+``_predict``, ``_advance`` and ``fresh``.  The averaging estimator reads
+every model through :meth:`SequentialModel.window_sweep`, which by default
+re-runs a fresh model over each window.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Windows per block of KTMixtureModel.window_sweep: its working arrays hold
+# Windows per block of a window_sweep.  The KT mixture's working arrays hold
 # O(SWEEP_BLOCK * (max_order + alphabet_size)) numbers, whatever the path.
 SWEEP_BLOCK = 1024
 
@@ -123,6 +125,28 @@ class SequentialModel:
     def process(self, seq) -> None:
         for x in seq:
             self.update(x)
+
+    def window_sweep(self, backward, n_windows: int):
+        """Predictions after each of the first ``n_windows`` suffix windows.
+
+        ``backward`` holds a path most recent first; window ``t`` is its
+        ``t`` most recent outcomes.  Yields ``(t0, preds, None)`` for
+        blocks of at most ``SWEEP_BLOCK`` windows ``t0, t0 + 1, ...``:
+        row ``i`` of ``preds`` is what :meth:`predict` returns once a
+        ``fresh()`` model has consumed window ``t0 + i`` oldest first.
+        That costs ``n_windows * (n_windows - 1) / 2`` model steps; a model
+        with a cheaper route overrides this.
+        """
+        if self._consumed:
+            raise InputError("the window sweep needs a blank model")
+        n_windows = int(n_windows)
+        for t0 in range(0, n_windows, SWEEP_BLOCK):
+            preds = np.empty((min(SWEEP_BLOCK, n_windows - t0), self.alphabet_size))
+            for i in range(len(preds)):
+                run = self.fresh()
+                run.process(backward[: t0 + i][::-1])  # the window, oldest first
+                preds[i] = run.predict()
+            yield t0, preds, None
 
 
 class KTMixtureModel(SequentialModel):

@@ -160,7 +160,6 @@ class OnlineSideInfoEstimator:
         k: int,
         ell: int,
         j: int,
-        default_measure: ConditionalDistribution | None = None,
     ):
         if ell < 1 or j < 1:
             raise InputError("context length and sample count must be positive")
@@ -169,12 +168,6 @@ class OnlineSideInfoEstimator:
         self.k = int(k)
         self.ell = int(ell)
         self.j = int(j)
-        if default_measure is None:
-            if isinstance(x_space, Alphabet):
-                default_measure = ConditionalDistribution.uniform(x_space.size)
-            else:
-                default_measure = ConditionalDistribution.dirac(0.0)
-        self.default_measure = default_measure
         self._x_codes: list[int] = []
         self._y_codes: list[int] = []
         # (main gram, side gram, side cell at the following position) ->
@@ -209,8 +202,9 @@ class OnlineSideInfoEstimator:
         return _distribution_from_samples(samples, self.j, self.x_space)
 
     def _default(self) -> ConditionalDistribution:
-        d = self.default_measure
-        return ConditionalDistribution(pmf=d.pmf, samples=d.samples, default_used=True)
+        if isinstance(self.x_space, Alphabet):
+            return ConditionalDistribution.uniform(self.x_space.size, default_used=True)
+        return ConditionalDistribution.dirac(0.0, default_used=True)
 
 
 # ---------------------------------------------------------------------------

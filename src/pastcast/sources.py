@@ -1,14 +1,14 @@
 """Synthetic stationary sources with exact oracles.
 
-Every source here can generate stationary paths from a seed and answer
-oracle queries in closed form where one exists: the conditional law of
-the next outcome given a (sufficient) past, stationary block
-probabilities, entropy rate, the best achievable error rate of a
-symbol predictor, and the innovation variance of a numeric version of
-the process.  Estimator experiments are judged against these answers.
-
-Symbols are integer indices; attach ``values`` to give them numeric
-meaning (e.g. a two-state chain taking values -1.0 and +1.0).
+Every source draws stationary paths from a seed and gives the exact law
+of the next outcome given a (sufficient) past and the stationary mass
+of a block.  I.i.d., Markov, periodic and renewal sources also give a
+predictive-state law (each state's stationary weight and next-symbol
+pmf), from which :class:`_SourceBase` derives the entropy rate, the best
+error rate of a symbol predictor and the innovation variance.  An HMM
+has a Monte-Carlo entropy rate and the exact error rate of a predictor
+that sees its hidden state.  ``values`` attaches one finite number to
+each symbol index (e.g. -1.0 and +1.0 for a two-state chain).
 """
 
 from __future__ import annotations
@@ -81,21 +81,58 @@ def _cut_points(P: np.ndarray) -> np.ndarray:
     return np.cumsum(P, axis=1)[:, :-1]
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array; strings, bools and ragged lists are refused."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(float)
+    except ValueError:  # ragged nesting
+        pass
+    raise InputError(f"{what} must hold numbers only, in (nested) lists")
+
+
 def _validate_pmf(pmf, m: int | None = None) -> np.ndarray:
     p = np.asarray(pmf, dtype=float)
     if p.ndim != 1 or (m is not None and p.size != m):
         raise InputError("probability vector has the wrong shape")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
+    if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
         raise InputError("probability vector must be nonnegative and sum to 1")
     return p
 
 
+# Most symbols a source may have, so per-symbol arrays and CSV columns
+# stay small; and the largest value magnitude, so squares stay finite.
+_MAX_SYMBOLS = 1024
+_VALUE_BOUND = 1e150
+
+
+def _law_sum(w, terms) -> float:
+    """``sum(w[i] * terms[i])`` over the predictive states, added in order."""
+    return float(sum(wi * t for wi, t in zip(w, terms)))
+
+
+def _bayes_error(w, rows) -> float:
+    """Error rate of the best guess per state: ``sum(w[i] * (1 - max rows[i]))``."""
+    return _law_sum(w, (1.0 - row.max() for row in rows))
+
+
 class _SourceBase:
-    """Shared conveniences; concrete sources fill in the oracle methods."""
+    """Shared conveniences, and the oracles read off the predictive-state law."""
 
     kind: str = ""
     alphabet_size: int = 0
     values: tuple | None = None
+
+    def _set_alphabet(self, m: int, values) -> None:
+        """Fix the alphabet at ``m`` symbols and attach ``values``, one number each."""
+        if not 2 <= m <= _MAX_SYMBOLS:
+            raise InputError(f"a source needs 2 to {_MAX_SYMBOLS} symbols, got {m}")
+        self.alphabet_size = int(m)
+        v = None if values is None else _numbers(values, "values")
+        if v is not None and (v.shape != (m,) or not (np.abs(v) <= _VALUE_BOUND).all()):
+            raise InputError(f"values must be {m} numbers within +-{_VALUE_BOUND:g}")
+        self.values = None if v is None else tuple(v.tolist())
 
     def alphabet(self) -> Alphabet:
         return Alphabet.of_size(self.alphabet_size, self.values)
@@ -108,17 +145,8 @@ class _SourceBase:
     def numeric_path(self, path: np.ndarray) -> np.ndarray:
         return self.numeric_values()[np.asarray(path, dtype=np.int64)]
 
-    def generate(self, n: int, seed) -> np.ndarray:
-        raise NotImplementedError
-
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         return np.stack([self.generate(n, np.random.default_rng(s)) for s in _spawn(seed, trials)])
-
-    def conditional(self, past) -> np.ndarray:
-        raise NotImplementedError
-
-    def block_probability(self, block) -> float:
-        raise NotImplementedError
 
     def block_log2_probability(self, block) -> float:
         """log2 of the stationary block mass; -inf for impossible blocks.
@@ -128,14 +156,22 @@ class _SourceBase:
         p = self.block_probability(block)
         return math.log2(p) if p > 0.0 else -math.inf
 
+    def _predictive_law(self) -> tuple:
+        """``(w, rows)``: each predictive state's stationary weight and next-symbol pmf."""
+        raise UnsupportedQueryError(f"no exact predictive-state law for {self.kind}")
+
     def entropy_rate(self) -> EntropyRateResult:
-        raise NotImplementedError
+        w, rows = self._predictive_law()
+        return EntropyRateResult(_law_sum(w, map(_entropy_bits, rows)), exact=True)
 
     def bayes_error_rate(self) -> float:
-        raise UnsupportedQueryError(f"no exact error-rate oracle for {self.kind}")
+        return _bayes_error(*self._predictive_law())
 
     def innovation_variance(self) -> float:
-        raise UnsupportedQueryError(f"no innovation oracle for {self.kind}")
+        """Mean variance of the next value given the past."""
+        w, rows = self._predictive_law()
+        v = self.numeric_values()
+        return _law_sum(w, (row @ (v - row @ v) ** 2 for row in rows))
 
 
 # Uniforms per i.i.d. draw chunk: 512 KiB of doubles stays in cache.
@@ -154,13 +190,8 @@ class IIDSource(_SourceBase):
     kind = "iid"
 
     def __init__(self, pmf, values=None):
-        self.pmf = _validate_pmf(pmf)
-        self.alphabet_size = self.pmf.size
-        if self.alphabet_size < 2:
-            raise InputError("a source needs at least two symbols")
-        self.values = None if values is None else tuple(float(v) for v in values)
-        if self.values is not None and len(self.values) != self.alphabet_size:
-            raise InputError("values must align with the pmf")
+        self.pmf = _validate_pmf(_numbers(pmf, "pmf"))
+        self._set_alphabet(self.pmf.size, values)
         # Generator.choice's cdf; u < 1 never reaches its last entry.
         cdf = self.pmf.cumsum()
         cdf /= cdf[-1]
@@ -199,16 +230,8 @@ class IIDSource(_SourceBase):
             return -math.inf
         return float(np.log2(probs).sum())
 
-    def entropy_rate(self) -> EntropyRateResult:
-        return EntropyRateResult(_entropy_bits(self.pmf), exact=True)
-
-    def bayes_error_rate(self) -> float:
-        return float(1.0 - self.pmf.max())
-
-    def innovation_variance(self) -> float:
-        v = self.numeric_values()
-        mean = float(self.pmf @ v)
-        return float(self.pmf @ (v - mean) ** 2)
+    def _predictive_law(self) -> tuple:
+        return (1.0,), (self.pmf,)
 
 
 def _stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -231,22 +254,20 @@ class MarkovSource(_SourceBase):
     kind = "markov"
 
     def __init__(self, transition, order: int = 1, values=None):
-        T = np.asarray(transition, dtype=float)
+        T = _numbers(transition, "transition")
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+            raise InputError(f"order must be a nonnegative integer, got {order!r}")
         if T.ndim != 2:
             raise InputError("transition must be a matrix")
         m = T.shape[1]
-        if m < 2 or T.shape[0] != m**order:
-            raise InputError(
-                f"transition must have {m}**order rows for alphabet size {m}"
-            )
+        # m**order > order for m >= 2: no giant power for a giant order.
+        if m < 2 or order > T.shape[0] or T.shape[0] != m**order:
+            raise InputError(f"transition must have {m}**order rows for alphabet size {m}")
         for row in T:
             _validate_pmf(row, m)
         self.transition = T
         self.order = int(order)
-        self.alphabet_size = m
-        self.values = None if values is None else tuple(float(v) for v in values)
-        if self.values is not None and len(self.values) != m:
-            raise InputError("values must align with the alphabet")
+        self._set_alphabet(m, values)
         self._ctx_pi = _stationary_distribution(self._lifted_chain())
         self._cuts = _cut_points(T)
         # math.log2 of every transition, -inf where it is impossible.
@@ -387,21 +408,8 @@ class MarkovSource(_SourceBase):
         # cumsum adds left to right, in the order of the chain rule.
         return float(np.cumsum(terms, out=terms)[-1])
 
-    def entropy_rate(self) -> EntropyRateResult:
-        h = sum(
-            self._ctx_pi[c] * _entropy_bits(self.transition[c])
-            for c in range(len(self._ctx_pi))
-        )
-        return EntropyRateResult(float(h), exact=True)
-
-    def bayes_error_rate(self) -> float:
-        return float(1.0 - self._ctx_pi @ self.transition.max(axis=1))
-
-    def innovation_variance(self) -> float:
-        v = self.numeric_values()
-        cond_mean = self.transition @ v
-        second = self.transition @ v**2
-        return float(self._ctx_pi @ second - self._ctx_pi @ cond_mean**2)
+    def _predictive_law(self) -> tuple:
+        return self._ctx_pi, self.transition
 
 
 class PeriodicSource(_SourceBase):
@@ -410,11 +418,12 @@ class PeriodicSource(_SourceBase):
     kind = "periodic"
 
     def __init__(self, cycle, values=None):
-        self.cycle = tuple(int(s) for s in cycle)
-        if not self.cycle or min(self.cycle) < 0:
-            raise InputError("cycle must be a non-empty tuple of symbol indices")
-        self.alphabet_size = max(max(self.cycle) + 1, 2)
-        self.values = None if values is None else tuple(float(v) for v in values)
+        c = _numbers(cycle, "cycle")
+        symbols = (0 <= c) & (c < _MAX_SYMBOLS) & (c == c.round())
+        if c.ndim != 1 or not c.size or not symbols.all():
+            raise InputError(f"cycle must list symbol indices below {_MAX_SYMBOLS}")
+        self.cycle = tuple(int(s) for s in c)
+        self._set_alphabet(max(max(self.cycle) + 1, 2), values)
         self._arr = np.asarray(self.cycle, dtype=np.int64)
 
     def generate(self, n: int, seed) -> np.ndarray:
@@ -453,54 +462,34 @@ class PeriodicSource(_SourceBase):
         )
         return hits / L
 
-    def entropy_rate(self) -> EntropyRateResult:
-        return EntropyRateResult(0.0, exact=True)
-
-    def bayes_error_rate(self) -> float:
+    def _predictive_law(self) -> tuple:
+        # The phase is the state: phase phi emits cycle[phi] for sure.
         L = len(self.cycle)
-        err = 0.0
-        for phi in range(L):
-            past = [self.cycle[(phi - L + i) % L] for i in range(L)]
-            err += 1.0 - self.conditional(past).max()
-        return err / L
-
-    def innovation_variance(self) -> float:
-        v = self.numeric_values()
-        L = len(self.cycle)
-        total = 0.0
-        for phi in range(L):
-            past = [self.cycle[(phi - L + i) % L] for i in range(L)]
-            pmf = self.conditional(past)
-            mean = pmf @ v
-            total += pmf @ (v - mean) ** 2
-        return float(total / L)
+        return [1.0 / L] * L, np.eye(self.alphabet_size)[self._arr]
 
 
 class HMMSource(_SourceBase):
     """Hidden Markov chain with per-state emission rows.
 
     ``conditional`` runs the exact forward filter over the supplied past;
-    :meth:`conditional_given_state` is the oracle when the hidden state is
-    revealed as side information.
+    emission row ``E[s]`` is the oracle when hidden state ``s`` is revealed
+    as side information.
     """
 
     kind = "hmm"
 
     def __init__(self, state_transition, emission, values=None):
-        A = np.asarray(state_transition, dtype=float)
-        E = np.asarray(emission, dtype=float)
+        A = _numbers(state_transition, "state_transition")
+        E = _numbers(emission, "emission")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("state_transition must be square")
         if E.ndim != 2 or E.shape[0] != A.shape[0]:
             raise InputError("emission needs one row per hidden state")
-        for row in A:
-            _validate_pmf(row)
-        for row in E:
+        for row in (*A, *E):
             _validate_pmf(row)
         self.A, self.E = A, E
         self.n_states = A.shape[0]
-        self.alphabet_size = E.shape[1]
-        self.values = None if values is None else tuple(float(v) for v in values)
+        self._set_alphabet(E.shape[1], values)
         self.state_pi = _stationary_distribution(A)
         self._cutsA = _cut_points(A)
         self._cutsE = _cut_points(E)
@@ -540,10 +529,6 @@ class HMMSource(_SourceBase):
             alpha = (alpha / total) @ self.A
         return alpha @ self.E
 
-    def conditional_given_state(self, state: int) -> np.ndarray:
-        """Law of the symbol emitted at a known hidden state."""
-        return self.E[int(state)].copy()
-
     def block_probability(self, block) -> float:
         alpha = self.state_pi.copy()
         for x in np.asarray(block, dtype=np.int64):
@@ -580,7 +565,7 @@ class HMMSource(_SourceBase):
 
     def side_info_bayes_error_rate(self) -> float:
         """Best error rate of a symbol predictor that sees the hidden state."""
-        return float(1.0 - self.state_pi @ self.E.max(axis=1))
+        return _bayes_error(self.state_pi, self.E)
 
 
 class RyabcoSource(_SourceBase):
@@ -600,11 +585,11 @@ class RyabcoSource(_SourceBase):
     A, B, C = 0, 1, 2
 
     def __init__(self, delta_cycle=(1.0 / 3.0, 2.0 / 3.0), values=None):
-        self.delta_cycle = tuple(float(d) for d in delta_cycle)
-        if not self.delta_cycle or any(not 0.0 <= d <= 1.0 for d in self.delta_cycle):
-            raise InputError("delta_cycle entries must lie in [0, 1]")
-        self.alphabet_size = 3
-        self.values = None if values is None else tuple(float(v) for v in values)
+        d = _numbers(delta_cycle, "delta_cycle")
+        if d.ndim != 1 or not d.size or not ((d >= 0.0) & (d <= 1.0)).all():
+            raise InputError("delta_cycle must be a non-empty list of numbers in [0, 1]")
+        self.delta_cycle = tuple(d.tolist())
+        self._set_alphabet(3, values)
 
     def delta(self, i: int) -> float:
         return self.delta_cycle[i % len(self.delta_cycle)]
@@ -651,7 +636,6 @@ class RyabcoSource(_SourceBase):
 
     def block_probability(self, block) -> float:
         block = tuple(int(s) for s in block)
-        p = len(self.delta_cycle)
 
         def given_state(i0: int) -> float:
             prob, i = 1.0, i0
@@ -661,13 +645,8 @@ class RyabcoSource(_SourceBase):
                 i = 0 if s == self.A else i + 1
             return prob
 
-        # The state only matters modulo the cycle length, so the geometric
-        # mixture over initial states collapses to one term per residue.
-        total = 0.0
-        for rho in range(p):
-            weight = 2.0 ** -(rho + 1) / (1.0 - 2.0**-p)
-            total += weight * given_state(rho)
-        return total
+        weights = self._predictive_law()[0]
+        return sum((w * given_state(rho) for rho, w in enumerate(weights)), 0.0)
 
     def block_log2_probability(self, block) -> float:
         block = tuple(int(s) for s in block)
@@ -694,22 +673,12 @@ class RyabcoSource(_SourceBase):
         top = max(terms)
         return top + math.log2(sum(2.0 ** (t - top) for t in terms))
 
-    def entropy_rate(self) -> EntropyRateResult:
+    def _predictive_law(self) -> tuple:
+        # The state only matters modulo the cycle length, so the geometric
+        # state law 2**-(i+1) collapses to one weight per residue.
         p = len(self.delta_cycle)
-        h = 0.0
-        for rho in range(p):
-            weight = 2.0 ** -(rho + 1) / (1.0 - 2.0**-p)
-            h += weight * _entropy_bits(self.state_pmf(rho))
-        return EntropyRateResult(float(h), exact=True)
-
-    def bayes_error_rate(self) -> float:
-        p = len(self.delta_cycle)
-        return float(
-            sum(
-                2.0 ** -(rho + 1) / (1.0 - 2.0**-p) * (1.0 - self.state_pmf(rho).max())
-                for rho in range(p)
-            )
-        )
+        w = [2.0 ** -(rho + 1) / (1.0 - 2.0**-p) for rho in range(p)]
+        return w, [self.state_pmf(rho) for rho in range(p)]
 
 
 PRESETS = {
@@ -722,16 +691,11 @@ PRESETS = {
 
 
 def get_preset(name: str, values=None):
-    try:
-        source = PRESETS[name]()
-    except KeyError:
-        raise InputError(
-            f"unknown source preset {name!r}; available: {sorted(PRESETS)}"
-        ) from None
+    if not isinstance(name, str) or name not in PRESETS:
+        raise InputError(f"unknown source preset {name!r}; available: {sorted(PRESETS)}")
+    source = PRESETS[name]()
     if values is not None:
-        source.values = tuple(float(v) for v in values)
-        if len(source.values) != source.alphabet_size:
-            raise InputError("values must align with the source alphabet")
+        source._set_alphabet(source.alphabet_size, values)
     return source
 
 
@@ -757,7 +721,7 @@ def build_source(spec):
             spec.get("delta_cycle", (1.0 / 3.0, 2.0 / 3.0)), values
         ),
     }
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise InputError(f"unknown source kind {kind!r}")
     try:
         return builders[kind]()

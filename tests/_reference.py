@@ -223,6 +223,17 @@ def ref_markov_block_prob(transition, stationary, symbols):
     return p
 
 
+def ref_markov_bayes_error(transition, context_law):
+    """``1 - sum_c pi_c max_s T[c, s]``: the closed form as one dot product."""
+    return float(1.0 - np.asarray(context_law) @ np.asarray(transition).max(axis=1))
+
+
+def ref_markov_innovation_variance(transition, context_law, values):
+    """``E[X**2] - E[E[X | context]**2]`` for a chain with numeric values."""
+    T, pi, v = (np.asarray(a, dtype=float) for a in (transition, context_law, values))
+    return float(pi @ (T @ v**2) - pi @ (T @ v) ** 2)
+
+
 def ref_markov_block_log2(transition, context_law, order, symbols):
     """log2 block mass of an order-``order`` chain, one symbol at a time.
 

@@ -1,10 +1,16 @@
 """Command-line harness: subcommands, artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pastcast.cli import main
 from pastcast.experiments import run_report
@@ -190,7 +196,7 @@ def test_divergence_curve_refuses_quadratic_lz78(tmp_path, capsys):
     out = tmp_path / "lz"
     assert main(["divergence-curve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    projected = 2 * (1_000 * 999 // 2 + 100_000 * 99_999 // 2)
+    projected = 2 * (100_000 * 99_999 // 2)
     assert err.startswith("pastcast: model: ") and err.count("\n") == 1
     assert f"{projected:,} projected model steps" in err
     assert not out.exists()
@@ -305,3 +311,137 @@ def test_report_aggregates_summaries(tmp_path):
     table = buf.getvalue().splitlines()
     assert table[0].startswith("dir,source,runtime_seconds")
     assert len(table) == 3
+
+
+HMM = {"state_transition": [[0.9, 0.1], [0.2, 0.8]], "emission": [[0.8, 0.2], [0.3, 0.7]]}
+MALFORMED = {
+    "periodic-short-values": {
+        "source": {"kind": "periodic", "cycle": [0, 1], "values": [1.0]},
+        "schedule": {"mode": "real"},
+    },
+    "ryabco-short-values": {
+        "source": {"kind": "ryabco", "values": [1.0, 2.0]},
+        "schedule": {"mode": "real"},
+    },
+    "hmm-short-values": {
+        "source": {"kind": "hmm", **HMM, "values": [1.0]},
+        "schedule": {"mode": "real"},
+    },
+    "infinite-values": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "values": [1e400, 0]}},
+    "pmf-string": {"source": {"kind": "iid", "pmf": "abc"}},
+    "pmf-mixed": {"source": {"kind": "iid", "pmf": [0.5, "x"]}},
+    "transition-string": {"source": {"kind": "markov", "transition": "x"}},
+    "state-transition-string": {
+        "source": {"kind": "hmm", "state_transition": "x", "emission": HMM["emission"]}
+    },
+    "order-string": {
+        "source": {"kind": "markov", "transition": [[0.9, 0.1], [0.1, 0.9]], "order": "x"}
+    },
+    "delta-cycle-number": {"source": {"kind": "ryabco", "delta_cycle": 5}},
+    "delta-cycle-string": {"source": {"kind": "ryabco", "delta_cycle": ["a"]}},
+    "values-number": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "values": 3}},
+    "epsilon-overflow": {"schedule": {"epsilon": 0.999999}},
+    "known-rate-overflow": {"schedule": {"known_rate": 1e300}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_sources_and_schedules_are_validation_errors(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, **MALFORMED[name])
+    for command in ("simulate", "recurrence-stats", "estimate", "divergence-curve", "predict"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("pastcast: ") and err.count("\n") == 1, (command, err)
+        assert not out.exists(), command
+
+
+# JSON values of every type and some nesting, including NaN and infinities,
+# which Python's json module reads and writes.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=8,
+)
+EDGE_NUMBERS = st.sampled_from([-1, 0, 1, 2, 3, 0.5, 1e-300, 1e300, 10**30])
+PMFS = {2: [[0.5, 0.5], [0.0, 1.0], [0.9, 0.1]], 3: [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]]}
+
+
+def _or_junk(strategy):
+    """Mostly ``strategy``, so that runs get past the first checks; else any JSON."""
+    return st.one_of(strategy, strategy, strategy, JSON_VALUES)
+
+
+def _rows(count):
+    """``count(m)`` pmf rows over ``m`` symbols, for ``m`` of 2 or 3."""
+    return st.sampled_from(sorted(PMFS)).flatmap(
+        lambda m: st.lists(st.sampled_from(PMFS[m]), min_size=count(m), max_size=count(m))
+    )
+
+
+def _spec(kind, **fields):
+    """An inline spec of ``kind``: the given fields, an optional ``values``."""
+    values = st.lists(st.floats() | EDGE_NUMBERS, min_size=2, max_size=3)
+    return st.fixed_dictionaries(
+        {"kind": st.just(kind), **{k: _or_junk(v) for k, v in fields.items()}},
+        optional={"values": _or_junk(values)},
+    )
+
+
+SOURCES = st.one_of(
+    JSON_VALUES,
+    st.sampled_from(["iid_fair", "markov_stay90", "periodic01", "ryabco_alt"]),
+    _spec("iid", pmf=st.sampled_from(PMFS[2] + PMFS[3])),
+    _spec(
+        "markov",
+        transition=_rows(lambda m: m) | _rows(lambda m: m * m),
+        order=st.integers(0, 2) | EDGE_NUMBERS,
+    ),
+    _spec("periodic", cycle=st.lists(st.integers(0, 3) | EDGE_NUMBERS, min_size=1, max_size=4)),
+    _spec("hmm", state_transition=_rows(lambda m: m), emission=_rows(lambda m: 2)),
+    _spec("ryabco", delta_cycle=st.lists(st.floats(0, 1) | EDGE_NUMBERS, max_size=3)),
+)
+SCHEDULE_FIELDS = {
+    "mode": st.sampled_from(["finite", "real"]),
+    "epsilon": st.floats(0, 1) | EDGE_NUMBERS,
+    "known_rate": st.floats(0, 2000) | EDGE_NUMBERS,
+    "budget_fraction": st.floats(0, 1) | EDGE_NUMBERS,
+    "j0": st.integers(0, 10**6) | EDGE_NUMBERS,
+    "j_growth": st.floats(0, 1e6) | EDGE_NUMBERS,
+    "max_level": st.integers(0, 60),
+}
+SCHEDULES = _or_junk(
+    st.lists(st.sampled_from(sorted(SCHEDULE_FIELDS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _or_junk(SCHEDULE_FIELDS[k]) for k in keys})
+    )
+)
+
+
+@settings(derandomize=True)
+@given(
+    command=st.sampled_from(["estimate", "predict", "divergence-curve"]),
+    source=SOURCES,
+    schedule=SCHEDULES,
+    n_grid=st.sampled_from([[1], [20, 200], [200]]),
+    replicas=st.integers(1, 2),
+    loss=st.sampled_from(["hamming", "squared"]),
+)
+def test_fuzzed_sources_and_schedules_exit_cleanly(command, source, schedule, n_grid, replicas, loss):
+    """Any JSON for ``source`` and ``schedule`` ends in exit 0 or 2, never a traceback."""
+    cfg = {"source": source, "schedule": schedule, "n_grid": n_grid, "replicas": replicas,
+           "workers": 1, "seed": 3, "loss": loss, "model_order": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numeric warning is a bug too
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 2, err.getvalue()
+            assert len(lines) == 1 and lines[0].startswith("pastcast: "), err.getvalue()
+            assert not out.exists()

@@ -22,8 +22,10 @@ from _reference import (
     ref_hmm_block_prob,
     ref_hmm_draws,
     ref_markov_block_log2,
+    ref_markov_bayes_error,
     ref_markov_block_prob,
     ref_markov_draws,
+    ref_markov_innovation_variance,
 )
 
 
@@ -165,6 +167,20 @@ def test_markov_stay90_oracles():
     pm1 = MarkovSource([[0.9, 0.1], [0.1, 0.9]], values=(-1.0, 1.0))
     # E{X | past} = 0.8 * sign(last), so the innovation variance is 1 - 0.64
     assert pm1.innovation_variance() == pytest.approx(0.36)
+
+
+def test_markov_oracles_match_the_closed_forms():
+    """Per-state sums of the predictive law agree with the one-line forms."""
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        order, m = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+        T = rng.dirichlet(np.full(m, rng.choice([0.3, 1.0, 5.0])), size=m**order)
+        values = rng.uniform(-1.0, 1.0, size=m)
+        src = MarkovSource(T, order=order, values=values)
+        law = src._ctx_pi
+        assert abs(src.bayes_error_rate() - ref_markov_bayes_error(T, law)) <= 1e-15
+        want = ref_markov_innovation_variance(T, law, values)
+        assert abs(src.innovation_variance() - want) <= 1e-15
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
@@ -329,6 +345,13 @@ def test_periodic_oracles():
     assert total == pytest.approx(1.0)
 
 
+def test_deterministic_cycle_oracles_are_exactly_zero():
+    src = PeriodicSource((0, 1, 2), values=(-1.0, 0.5, 3.0))
+    assert src.entropy_rate().bits == 0.0
+    assert src.bayes_error_rate() == 0.0
+    assert src.innovation_variance() == 0.0
+
+
 def test_periodic_longer_cycle():
     src = PeriodicSource((0, 0, 1))
     # after seeing "0" two phases remain; next is 0 or 1 with mass 1/2 each
@@ -374,8 +397,6 @@ def test_hmm_states_and_side_oracle():
     pi = src.state_pi
     expect = 1.0 - (pi[0] * 0.8 + pi[1] * 0.7)
     assert src.side_info_bayes_error_rate() == pytest.approx(expect)
-    cg = src.conditional_given_state(1)
-    assert cg.tolist() == pytest.approx([0.3, 0.7])
 
 
 
@@ -423,6 +444,22 @@ def test_ryabco_state_structure():
     assert src.state_pmf(2).tolist() == pytest.approx([0.5, 1.0 / 6.0, 1.0 / 3.0])
     total = sum(src.block_probability(b) for b in all_blocks(3, 2))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ryabco_innovation_variance():
+    # Residue 0 (weight 2/3, delta 1/3) has variance 29/36 and residue 1
+    # (weight 1/3, delta 2/3) has 5/9, so the mean is 13/18.
+    src = build_source({"preset": "ryabco_alt", "values": [-1.0, 0.0, 1.0]})
+    assert src.innovation_variance() == pytest.approx(13.0 / 18.0, rel=1e-15)
+
+
+def test_hmm_has_no_exact_predictive_law():
+    src = build_source({"kind": "hmm", "state_transition": [[0.9, 0.1], [0.2, 0.8]],
+                        "emission": [[0.8, 0.2], [0.3, 0.7]], "values": [0.0, 1.0]})
+    for oracle in (src.bayes_error_rate, src.innovation_variance):
+        with pytest.raises(UnsupportedQueryError):
+            oracle()
+    assert not src.entropy_rate(n=2000).exact
 
 
 def test_ryabco_entropy_matches_path_average():
