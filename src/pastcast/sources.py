@@ -85,7 +85,9 @@ def _numbers(value, what: str) -> np.ndarray:
     """``value`` as a float array; strings, bools and ragged lists are refused."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind in "iuf":
+        # A bool among numbers becomes 1.0 in ``arr``, but stays a bool here.
+        items = np.asarray(value, dtype=object).flat
+        if arr.dtype.kind in "iuf" and not any(isinstance(x, bool) for x in items):
             return arr.astype(float)
     except ValueError:  # ragged nesting
         pass
@@ -101,8 +103,9 @@ def _validate_pmf(pmf, m: int | None = None) -> np.ndarray:
     return p
 
 
-# Most symbols a source may have, so per-symbol arrays and CSV columns
-# stay small; and the largest value magnitude, so squares stay finite.
+# Bound on a periodic cycle's symbol indices, so that one large index
+# cannot build a huge alphabet; and the largest value magnitude, so that
+# squares stay finite.
 _MAX_SYMBOLS = 1024
 _VALUE_BOUND = 1e150
 
@@ -126,8 +129,8 @@ class _SourceBase:
 
     def _set_alphabet(self, m: int, values) -> None:
         """Fix the alphabet at ``m`` symbols and attach ``values``, one number each."""
-        if not 2 <= m <= _MAX_SYMBOLS:
-            raise InputError(f"a source needs 2 to {_MAX_SYMBOLS} symbols, got {m}")
+        if m < 2:
+            raise InputError(f"a source needs at least 2 symbols, got {m}")
         self.alphabet_size = int(m)
         v = None if values is None else _numbers(values, "values")
         if v is not None and (v.shape != (m,) or not (np.abs(v) <= _VALUE_BOUND).all()):
@@ -472,8 +475,8 @@ class HMMSource(_SourceBase):
     """Hidden Markov chain with per-state emission rows.
 
     ``conditional`` runs the exact forward filter over the supplied past;
-    emission row ``E[s]`` is the oracle when hidden state ``s`` is revealed
-    as side information.
+    :meth:`conditional_given_state` is the oracle when the hidden state is
+    revealed as side information.
     """
 
     kind = "hmm"
@@ -528,6 +531,10 @@ class HMMSource(_SourceBase):
                 raise UnsupportedQueryError("past has zero probability under this model")
             alpha = (alpha / total) @ self.A
         return alpha @ self.E
+
+    def conditional_given_state(self, state: int) -> np.ndarray:
+        """Law of the symbol emitted at a known hidden state."""
+        return self.E[int(state)].copy()
 
     def block_probability(self, block) -> float:
         alpha = self.state_pi.copy()

@@ -340,6 +340,9 @@ MALFORMED = {
     "delta-cycle-number": {"source": {"kind": "ryabco", "delta_cycle": 5}},
     "delta-cycle-string": {"source": {"kind": "ryabco", "delta_cycle": ["a"]}},
     "values-number": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "values": 3}},
+    "values-mixed-bool": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "values": [0.0, True]}},
+    "pmf-mixed-bool": {"source": {"kind": "iid", "pmf": [0, True]}},
+    "transition-mixed-bool": {"source": {"kind": "markov", "transition": [[0.5, 0.5], [0, True]]}},
     "epsilon-overflow": {"schedule": {"epsilon": 0.999999}},
     "known-rate-overflow": {"schedule": {"known_rate": 1e300}},
 }

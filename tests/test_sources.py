@@ -397,6 +397,8 @@ def test_hmm_states_and_side_oracle():
     pi = src.state_pi
     expect = 1.0 - (pi[0] * 0.8 + pi[1] * 0.7)
     assert src.side_info_bayes_error_rate() == pytest.approx(expect)
+    cg = src.conditional_given_state(1)
+    assert cg.tolist() == pytest.approx([0.3, 0.7])
 
 
 
