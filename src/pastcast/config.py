@@ -87,6 +87,11 @@ class ExperimentConfig:
                 raise ConfigError(f"schedule.{key}", f"must be {wanted}, got {value!r}")
         object.__setattr__(self, "schedule", dict(self.schedule))
 
+    @property
+    def real_mode(self) -> bool:
+        """Whether ``schedule.mode`` asks for the dyadic interval hierarchy."""
+        return self.schedule.get("mode", "finite") == "real"
+
     # -- serialization --------------------------------------------------
 
     @classmethod
@@ -173,7 +178,7 @@ def outcome_space_for(config: ExperimentConfig, source) -> OutcomeSpace:
     ``schedule.mode = "real"``) uses the dyadic interval hierarchy, which
     requires the source to carry numeric outcome values.
     """
-    if config.schedule.get("mode", "finite") == "real":
+    if config.real_mode:
         if source.values is None:
             raise ConfigError("schedule.mode", "real mode needs a source with numeric values")
         return IntervalFieldHierarchy(max_level=int(config.schedule.get("max_level", 32)))
@@ -183,14 +188,13 @@ def outcome_space_for(config: ExperimentConfig, source) -> OutcomeSpace:
 def build_schedule(config: ExperimentConfig, source) -> Schedule:
     """Construct the data-size schedule a config describes."""
     s = config.schedule
-    mode = s.get("mode", "finite")
-    if mode == "real":
+    if config.real_mode:
         return RealValuedSchedule(
             hierarchy=outcome_space_for(config, source),
             j0=int(s.get("j0", 50)),
             j_growth=float(s.get("j_growth", 3.0)),
         )
-    if mode != "finite":
+    if s.get("mode", "finite") != "finite":
         raise ConfigError("schedule.mode", "must be 'finite' or 'real'")
     alphabet: Alphabet = source.alphabet()
     known_rate = s.get("known_rate")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InputError, UnsupportedQueryError
 from .estimators import ConditionalDistribution
 from .recurrence import SamplePath
+from .sources import replica_rng
 
 __all__ = [
     "kl_divergence",
@@ -167,8 +168,7 @@ def expected_divergence_curve(
     n_max = grid[-1]
     rows: list[dict] = []
     for r in range(int(replicas)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
-        chron = source.generate(n_max, rng)
+        chron = source.generate(n_max, replica_rng(seed, r))
         try:
             oracle = np.asarray(source.conditional(chron), dtype=float)
         except UnsupportedQueryError:

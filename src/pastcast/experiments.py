@@ -1,21 +1,22 @@
 """Experiment drivers: one function per CLI subcommand.
 
-Each driver takes a validated :class:`~pastcast.config.ExperimentConfig`
-and an output directory, writes CSV result files plus a ``summary.json``
-(keys ``config``, ``metrics``, ``oracle_targets``, ``runtime_seconds``),
-and returns the summary payload.  All randomness flows from the config's
-master seed; replica ``r`` always draws from the spawn key ``(r,)`` of
-that seed, so replica sets can be extended without disturbing earlier
-replicas and reruns produce byte-identical CSVs.
+Every driver runs through :func:`_run`: it builds the source and runs the
+subcommand's checks before it creates the output directory, so a refused
+config leaves nothing behind; then the subcommand's work writes its CSVs
+and ``_run`` writes ``summary.json`` (``config``, ``metrics``,
+``oracle_targets``, ``runtime_seconds``, ``version``).
 
-Replica loops fan out over processes when ``workers > 1``; rows are
-collected per replica and written in replica order, keeping output
-deterministic regardless of scheduling.
+All randomness flows from the config's master seed; replica ``r`` always
+draws from the spawn key ``(r,)`` of that seed, so reruns produce
+byte-identical CSVs.  Every subcommand but ``divergence-curve`` maps its
+replicas through :func:`_map_replicas`, over ``workers`` processes, and
+gets them back in replica order, whatever the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -28,7 +29,7 @@ from . import __version__
 from .config import ExperimentConfig, build_schedule, outcome_space_for
 from .divergence import expected_divergence_curve
 from .errors import ConfigError, InputError, UnsupportedQueryError
-from .estimators import FiniteAlphabetSchedule, estimate_truncated, truncated_parameters
+from .estimators import estimate_truncated, truncated_parameters
 from .models import KTMixtureModel, LZ78Model
 from .online import (
     OnlinePatternEstimator,
@@ -38,15 +39,17 @@ from .online import (
     predict_regression,
     run_online,
     run_online_side_info,
+    squared_loss,
 )
 from .quantize import Alphabet
 from .recurrence import (
+    KacRow,
     SamplePath,
     default_growth_entries,
     growth_rate_diagnostic,
     kac_diagnostic,
 )
-from .sources import build_source
+from .sources import build_source, replica_rng
 
 __all__ = [
     "run_simulate",
@@ -65,9 +68,8 @@ __all__ = [
 # the cap is about two minutes of work.
 QUADRATIC_CURVE_MAX_STEPS = 10_000_000
 
-
-def _replica_rng(master_seed: int, r: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=(int(r),)))
+# recurrence-stats: the growth sweep's levels when the config gives none.
+DEFAULT_K_GRID = tuple(range(1, 9))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -75,20 +77,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)  # None is written as an empty field
-
-
-def _write_summary(out_dir, config, metrics, oracle_targets, runtime_seconds) -> dict:
-    payload = {
-        "config": config.to_dict(),
-        "metrics": metrics,
-        "oracle_targets": oracle_targets,
-        "runtime_seconds": runtime_seconds,
-        "version": __version__,
-    }
-    with open(Path(out_dir) / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    return payload
 
 
 def _oracle_targets(source) -> dict:
@@ -112,111 +100,131 @@ def _oracle_targets(source) -> dict:
     return targets
 
 
-def _map_replicas(fn, args, workers: int):
-    """``fn`` over ``args``, yielding each result in order as it is ready."""
-    if workers <= 1 or len(args) <= 1:
+def _run(config: ExperimentConfig, out_dir, work, check=None) -> dict:
+    """Build the source and run ``check(config, source)``, and only then make
+    ``out_dir``; ``work(config, source, out)`` writes the CSVs and returns
+    the metrics that ``summary.json`` records."""
+    t0 = time.perf_counter()
+    source = build_source(config.source)
+    if check is not None:
+        check(config, source)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    metrics = work(config, source, out)
+    payload = {
+        "config": config.to_dict(),
+        "metrics": metrics,
+        "oracle_targets": _oracle_targets(source),
+        "runtime_seconds": time.perf_counter() - t0,
+        "version": __version__,
+    }
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+    return payload
+
+
+def _map_replicas(fn, config: ExperimentConfig):
+    """``fn((config dict, r))`` for every replica ``r``, yielded in replica
+    order, each as soon as it is ready."""
+    args = [(config.to_dict(), r) for r in range(config.replicas)]
+    if config.workers <= 1 or len(args) <= 1:
         yield from map(fn, args)
         return
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # A forking pool starts all its workers at once, so never more than
+    # there are replicas.
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as ex:
         yield from ex.map(fn, args)
 
 
-def _mkdir(out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _replica(args) -> tuple[ExperimentConfig, object, int]:
+    """A mapped replica's config, source and index.  Callers draw its path
+    from a temporary ``replica_rng``; holding the generator costs memory."""
+    cfg_dict, r = args
+    config = ExperimentConfig.from_dict(cfg_dict)
+    return config, build_source(config.source), r
+
+
+def _means(groups: dict) -> dict:
+    """The mean of each group, keyed by ``str(key)``; ``None`` when empty."""
+    return {str(key): (float(np.mean(v)) if v else None) for key, v in groups.items()}
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def run_simulate(config: ExperimentConfig, out_dir) -> dict:
-    """Emit stationary sample paths, one block of rows per replica."""
-    t0 = time.perf_counter()
-    out = _mkdir(out_dir)
-    source = build_source(config.source)
-    n = max(config.n_grid)
-    has_values = source.values is not None
-    header = ["replica", "t", "outcome"] + (["value"] if has_values else [])
-    rows = []
-    for r in range(config.replicas):
-        path = source.generate(n, _replica_rng(config.seed, r))
-        vals = source.numeric_path(path) if has_values else None
-        for t, x in enumerate(path):
-            row = [r, t, int(x)]
-            if has_values:
-                row.append(float(vals[t]))
-            rows.append(row)
+def _simulate_one(args) -> list[list]:
+    config, source, r = _replica(args)
+    path = source.generate(max(config.n_grid), replica_rng(config.seed, r))
+    if source.values is None:
+        return [[r, t, int(x)] for t, x in enumerate(path)]
+    vals = source.numeric_path(path)
+    return [[r, t, int(x), float(v)] for t, (x, v) in enumerate(zip(path, vals))]
+
+
+def _simulate(config: ExperimentConfig, source, out: Path) -> dict:
+    header = ["replica", "t", "outcome"] + (["value"] if source.values is not None else [])
+    rows = [row for rep in _map_replicas(_simulate_one, config) for row in rep]
     _write_csv(out / "paths.csv", header, rows)
-    metrics = {
+    return {
         "replicas": config.replicas,
-        "path_length": n,
+        "path_length": max(config.n_grid),
         "alphabet_size": source.alphabet_size,
     }
-    return _write_summary(out, config, metrics, _oracle_targets(source), time.perf_counter() - t0)
+
+
+def run_simulate(config: ExperimentConfig, out_dir) -> dict:
+    """Emit stationary sample paths, one block of rows per replica."""
+    return _run(config, out_dir, _simulate)
 
 
 # ---------------------------------------------------------------------------
 # recurrence-stats
 
 
-def run_recurrence_stats(config: ExperimentConfig, out_dir) -> dict:
-    """First-recurrence calibration plus the depth-growth curve.
-
-    Writes ``kac.csv`` (per realized pattern: oracle vs. empirical mean
-    first-recurrence time) and ``growth.csv`` with columns ``k, J_k,
-    tau_Jk, lambda_k, avg_gap, normalized_log_rate, truncated`` — one
-    block of rows per replica, in replica order.
-    """
-    t0 = time.perf_counter()
-    out = _mkdir(out_dir)
-    source = build_source(config.source)
-    space = outcome_space_for(config, source)
-    real_mode = config.schedule.get("mode", "finite") == "real"
-    k_grid = config.k_grid or tuple(range(1, 9))
+def _recurrence_plan(config: ExperimentConfig, source):
+    """Outcome space, growth entries and Kac path length; also the check."""
+    k_grid = config.k_grid or DEFAULT_K_GRID
     n = max(config.n_grid)
-
-    kac_k = min(k_grid)
+    if n <= k_grid[0]:
+        raise ConfigError("n_grid", f"the largest size, {n}, must exceed level {k_grid[0]}")
+    if k_grid[-1] > n:
+        raise ConfigError("k_grid", f"level {k_grid[-1]} does not fit a path of length {n}")
+    space = outcome_space_for(config, source)
+    cells = space.atom_count if config.real_mode else source.alphabet_size
     # Long enough that unresolved trials (excluded from means) are rare
     # for patterns of non-vanishing mass.
-    kac_len = int(min(n, max(512, 100 * source.alphabet_size**kac_k)))
+    kac_len = int(min(n, max(512, 100 * source.alphabet_size ** k_grid[0])))
+    # Refuses, in real mode, a level above the hierarchy's max_level.
+    entries = default_growth_entries(n, cells, k_grid)
+    return space, entries, kac_len
+
+
+def _growth_one(args) -> list:
+    config, source, r = _replica(args)
+    space, entries, _ = _recurrence_plan(config, source)
+    sym = source.generate(max(config.n_grid), replica_rng(config.seed, r))
+    path = SamplePath.from_chronological(source.numeric_path(sym) if config.real_mode else sym)
+    return growth_rate_diagnostic(path, entries, space)
+
+
+def _recurrence_stats(config: ExperimentConfig, source, out: Path) -> dict:
+    _, entries, kac_len = _recurrence_plan(config, source)
     kac_seed = np.random.SeedSequence(config.seed, spawn_key=(2**32,))
-    kac_rows = kac_diagnostic(source, kac_k, config.trials, kac_len, kac_seed)
+    kac_rows = kac_diagnostic(source, entries[0][0], config.trials, kac_len, kac_seed)
+    # One column per KacRow field, the pattern written as "0-1-1".
     _write_csv(
         out / "kac.csv",
-        [
-            "pattern",
-            "oracle_prob",
-            "oracle_mean",
-            "hits",
-            "unresolved",
-            "empirical_mean",
-            "rel_deviation",
-        ],
-        [
-            [
-                "-".join(str(s) for s in row.pattern),
-                row.oracle_prob,
-                row.oracle_mean,
-                row.hits,
-                row.unresolved,
-                row.empirical_mean,
-                row.rel_deviation,
-            ]
-            for row in kac_rows
-        ],
+        [f.name for f in dataclasses.fields(KacRow)],
+        [["-".join(map(str, row.pattern)), *dataclasses.astuple(row)[1:]] for row in kac_rows],
     )
 
-    cells = (lambda k: space.atom_count(k)) if real_mode else source.alphabet_size
-    entries = default_growth_entries(n, cells, k_grid)
     growth_rows = []
-    rate_sums: dict[int, list[float]] = {k: [] for k in k_grid}
-    truncated_counts = {k: 0 for k in k_grid}
-    for r in range(config.replicas):
-        sym = source.generate(n, _replica_rng(config.seed, r))
-        path = SamplePath.from_chronological(source.numeric_path(sym) if real_mode else sym)
-        for pt in growth_rate_diagnostic(path, entries, space):
+    rate_sums: dict[int, list[float]] = {k: [] for k, _, _ in entries}
+    truncated_counts = dict.fromkeys(rate_sums, 0)
+    for points in _map_replicas(_growth_one, config):
+        for pt in points:
             growth_rows.append(
                 [pt.k, pt.j, pt.tau_j, pt.lam, pt.avg_gap, pt.rate, int(pt.truncated)]
             )
@@ -232,17 +240,25 @@ def run_recurrence_stats(config: ExperimentConfig, out_dir) -> dict:
 
     big = max(100, config.trials // 100)
     solid = [row.rel_deviation for row in kac_rows if row.hits >= big]
-    metrics = {
+    return {
         "kac_patterns": len(kac_rows),
         "kac_trials": config.trials,
         "kac_path_length": kac_len,
         "kac_max_rel_deviation_well_hit": max(solid) if solid else None,
-        "growth_mean_rate_by_k": {
-            str(k): (float(np.mean(v)) if v else None) for k, v in rate_sums.items()
-        },
+        "growth_mean_rate_by_k": _means(rate_sums),
         "growth_truncated_by_k": {str(k): c for k, c in truncated_counts.items()},
     }
-    return _write_summary(out, config, metrics, _oracle_targets(source), time.perf_counter() - t0)
+
+
+def run_recurrence_stats(config: ExperimentConfig, out_dir) -> dict:
+    """First-recurrence calibration plus the depth-growth curve.
+
+    Writes ``kac.csv`` (per realized pattern: oracle vs. empirical mean
+    first-recurrence time) and ``growth.csv`` with columns ``k, J_k,
+    tau_Jk, lambda_k, avg_gap, normalized_log_rate, truncated`` — one
+    block of rows per replica, in replica order.
+    """
+    return _run(config, out_dir, _recurrence_stats, check=_recurrence_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +278,13 @@ def _symbol_pmf_from(dist, values) -> np.ndarray:
 
 
 def _estimate_one(args) -> list[list]:
-    cfg_dict, r = args
-    config = ExperimentConfig.from_dict(cfg_dict)
-    source = build_source(config.source)
+    config, source, r = _replica(args)
     schedule = build_schedule(config, source)
     space = outcome_space_for(config, source)
-    real_mode = config.schedule.get("mode", "finite") == "real"
-    values = source.numeric_values() if real_mode else None
+    values = source.numeric_values() if config.real_mode else None
     n_max = max(config.n_grid)
-    sym = source.generate(n_max, _replica_rng(config.seed, r))
-    chron = source.numeric_path(sym) if real_mode else sym
+    sym = source.generate(n_max, replica_rng(config.seed, r))
+    chron = source.numeric_path(sym) if config.real_mode else sym
     rows = []
     for n in config.n_grid:
         past_sym = sym[n_max - n :]
@@ -295,6 +308,33 @@ def _estimate_one(args) -> list[list]:
     return rows
 
 
+def _check_estimate(config: ExperimentConfig, source) -> None:
+    if config.estimator != "pattern":
+        raise ConfigError("estimator", "the estimate subcommand runs the pattern estimator")
+
+
+def _estimate(config: ExperimentConfig, source, out: Path) -> dict:
+    m = source.alphabet_size
+    rows = [row for rep in _map_replicas(_estimate_one, config) for row in rep]
+    header = (
+        ["n", "k", "ell", "J", "lambda", "truncated"]
+        + [f"est_{i}" for i in range(m)]
+        + [f"oracle_{i}" for i in range(m)]
+        + ["l1_error"]
+    )
+    _write_csv(out / "estimates.csv", header, rows)
+    by_n: dict[int, list] = {n: [] for n in config.n_grid}
+    defaults: dict[int, list] = {n: [] for n in config.n_grid}
+    for row in rows:
+        by_n[row[0]].append(row[-1])
+        defaults[row[0]].append(row[5])
+    return {
+        "mean_l1_by_n": _means(by_n),
+        "default_rate_by_n": _means(defaults),
+        "rows": len(rows),
+    }
+
+
 def run_estimate(config: ExperimentConfig, out_dir) -> dict:
     """Schedule-driven estimates against the oracle law across the n grid.
 
@@ -303,54 +343,15 @@ def run_estimate(config: ExperimentConfig, out_dir) -> dict:
     the estimated and oracle per-symbol masses, and the L1 distance
     between them (mass off the symbol set counts fully).
     """
-    t0 = time.perf_counter()
-    if config.estimator not in ("pattern",):
-        raise ConfigError("estimator", "the estimate subcommand runs the pattern estimator")
-    out = _mkdir(out_dir)
-    source = build_source(config.source)
-    m = source.alphabet_size
-    args = [(config.to_dict(), r) for r in range(config.replicas)]
-    per_replica = _map_replicas(_estimate_one, args, config.workers)
-    rows = [row for rep in per_replica for row in rep]
-    header = (
-        ["n", "k", "ell", "J", "lambda", "truncated"]
-        + [f"est_{i}" for i in range(m)]
-        + [f"oracle_{i}" for i in range(m)]
-        + ["l1_error"]
-    )
-    _write_csv(out / "estimates.csv", header, rows)
-
-    l1_col = len(header) - 1
-    by_n: dict[int, list] = {n: [] for n in config.n_grid}
-    defaults: dict[int, list] = {n: [] for n in config.n_grid}
-    for row in rows:
-        by_n[row[0]].append(row[l1_col])
-        defaults[row[0]].append(row[5])
-    metrics = {
-        "mean_l1_by_n": {
-            str(n): (float(np.mean(v)) if v else None) for n, v in by_n.items()
-        },
-        "default_rate_by_n": {
-            str(n): (float(np.mean(v)) if v else None) for n, v in defaults.items()
-        },
-        "rows": len(rows),
-    }
-    return _write_summary(out, config, metrics, _oracle_targets(source), time.perf_counter() - t0)
+    return _run(config, out_dir, _estimate, check=_check_estimate)
 
 
 # ---------------------------------------------------------------------------
 # divergence-curve
 
 
-def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
-    """Cesàro-averaged model estimates scored in divergence against the oracle.
-
-    An ``lz78`` curve re-runs the model for every window, O(n^2) steps at
-    the largest grid size, so it is refused up front when its projected
-    step count passes ``QUADRATIC_CURVE_MAX_STEPS``.
-    """
-    t0 = time.perf_counter()
-    if config.schedule.get("mode", "finite") == "real":
+def _check_divergence(config: ExperimentConfig, source) -> None:
+    if config.real_mode:
         raise ConfigError("schedule.mode", "divergence curves are finite-alphabet only")
     if config.model == "lz78":
         n = max(config.n_grid)
@@ -362,8 +363,9 @@ def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
                 f"steps (replicas x n(n-1)/2 at the largest n) exceed the cap of "
                 f"{QUADRATIC_CURVE_MAX_STEPS:,}",
             )
-    out = _mkdir(out_dir)
-    source = build_source(config.source)
+
+
+def _divergence_curve(config: ExperimentConfig, source, out: Path) -> dict:
     m = source.alphabet_size
     if config.model == "kt_mixture":
         factory = lambda: KTMixtureModel(m, config.model_order)  # noqa: E731
@@ -372,37 +374,30 @@ def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
     rows = expected_divergence_curve(
         source, factory, config.n_grid, config.replicas, config.seed
     )
-    _write_csv(
-        out / "divergence.csv",
-        ["n", "replica", "kl_bits", "variational", "model_redundancy_bits_per_symbol"],
-        [
-            [
-                row["n"],
-                row["replica"],
-                row["kl_bits"],
-                row["variational"],
-                row["model_redundancy_bits_per_symbol"],
-            ]
-            for row in rows
-        ],
-    )
+    columns = ["n", "replica", "kl_bits", "variational", "model_redundancy_bits_per_symbol"]
+    _write_csv(out / "divergence.csv", columns, [[row[c] for c in columns] for row in rows])
     kl_by_n: dict[int, list] = {n: [] for n in config.n_grid}
     v_by_n: dict[int, list] = {n: [] for n in config.n_grid}
     for row in rows:
         if np.isfinite(row["kl_bits"]):
             kl_by_n[row["n"]].append(row["kl_bits"])
         v_by_n[row["n"]].append(row["variational"])
-    metrics = {
-        "mean_kl_bits_by_n": {
-            str(n): (float(np.mean(v)) if v else None) for n, v in kl_by_n.items()
-        },
-        "mean_variational_by_n": {
-            str(n): (float(np.mean(v)) if v else None) for n, v in v_by_n.items()
-        },
+    return {
+        "mean_kl_bits_by_n": _means(kl_by_n),
+        "mean_variational_by_n": _means(v_by_n),
         "replicas_used": len({row["replica"] for row in rows}),
         "model": config.model,
     }
-    return _write_summary(out, config, metrics, _oracle_targets(source), time.perf_counter() - t0)
+
+
+def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
+    """Cesàro-averaged model estimates scored in divergence against the oracle.
+
+    An ``lz78`` curve re-runs the model for every window, O(n^2) steps at
+    the largest grid size, so it is refused up front when its projected
+    step count passes ``QUADRATIC_CURVE_MAX_STEPS``.
+    """
+    return _run(config, out_dir, _divergence_curve, check=_check_divergence)
 
 
 # ---------------------------------------------------------------------------
@@ -411,32 +406,27 @@ def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
 
 def _check_predict(config: ExperimentConfig, source) -> None:
     """The estimator and loss checks of ``predict``, which need the source."""
-    real_mode = config.schedule.get("mode", "finite") == "real"
     if config.estimator == "side_info":
-        if real_mode:
+        if config.real_mode:
             raise ConfigError("estimator", "side_info runs are finite-alphabet only")
         if getattr(source, "n_states", None) is None or not hasattr(source, "generate_with_states"):
             raise ConfigError("estimator", "side_info needs a source revealing a finite state")
-    if config.loss == "hamming" and real_mode:
+    if config.loss == "hamming" and config.real_mode:
         raise ConfigError("loss", "hamming prediction needs a finite outcome space")
     if config.loss == "squared" and source.values is None:
         raise ConfigError("loss", "squared loss needs a source with numeric values")
 
 
 def _predict_one(args):
-    cfg_dict, r = args
-    config = ExperimentConfig.from_dict(cfg_dict)
-    source = build_source(config.source)
+    config, source, r = _replica(args)
     schedule = build_schedule(config, source)
-    space = outcome_space_for(config, source)
-    real_mode = config.schedule.get("mode", "finite") == "real"
     n = max(config.n_grid)
     side = config.estimator == "side_info"
     states = None
     if side:
-        sym, states = source.generate_with_states(n, _replica_rng(config.seed, r))
+        sym, states = source.generate_with_states(n, replica_rng(config.seed, r))
     else:
-        sym = source.generate(n, _replica_rng(config.seed, r))
+        sym = source.generate(n, replica_rng(config.seed, r))
 
     if config.loss == "hamming":
         outcomes = sym
@@ -444,10 +434,10 @@ def _predict_one(args):
         decide, loss = predict_class, hamming_loss
     else:
         values = source.numeric_values()
-        if real_mode:
+        if config.real_mode:
             outcomes = source.numeric_path(sym)
             shown = outcomes.tolist()
-            decide, loss = predict_regression, lambda x, a: (float(x) - a) ** 2
+            decide, loss = predict_regression, squared_loss
         else:
             outcomes = sym
             shown = source.numeric_path(sym).tolist()
@@ -459,10 +449,8 @@ def _predict_one(args):
         y_alphabet = Alphabet.of_size(int(source.n_states))
         # Contexts pair main and side symbols, so the depth budget runs
         # over the product alphabet.
-        joint = FiniteAlphabetSchedule(
-            alphabet_size=x_alphabet.size * y_alphabet.size,
-            epsilon=float(config.schedule.get("epsilon", 0.5)),
-            budget_fraction=float(config.schedule.get("budget_fraction", 1.0)),
+        joint = dataclasses.replace(
+            schedule, alphabet_size=x_alphabet.size * y_alphabet.size, known_rate=None
         )
         ell = joint.k_of_n(n)
         estimator = OnlineSideInfoEstimator(
@@ -470,6 +458,7 @@ def _predict_one(args):
         )
         ledger = run_online_side_info(outcomes, states, estimator, decide, loss)
     else:
+        space = outcome_space_for(config, source)
         ledger = run_online(outcomes, OnlinePatternEstimator(space, schedule), decide, loss)
     rows = list(
         zip(
@@ -483,16 +472,10 @@ def _predict_one(args):
     return rows, ledger.summary()
 
 
-def run_predict(config: ExperimentConfig, out_dir) -> dict:
-    """Online predict-then-reveal runs; one CSV per replica."""
-    t0 = time.perf_counter()
-    source = build_source(config.source)
-    _check_predict(config, source)
-    out = _mkdir(out_dir)
-    args = [(config.to_dict(), r) for r in range(config.replicas)]
+def _predict(config: ExperimentConfig, source, out: Path) -> dict:
     finals = []
     per_replica = {}
-    for rows, summary in _map_replicas(_predict_one, args, config.workers):
+    for rows, summary in _map_replicas(_predict_one, config):
         r = len(finals)
         _write_csv(
             out / f"online_r{r}.csv",
@@ -503,13 +486,17 @@ def run_predict(config: ExperimentConfig, out_dir) -> dict:
         del rows
         finals.append(summary["final_avg_loss"])
         per_replica[str(r)] = summary
-    metrics = {
+    return {
         "loss": config.loss,
         "steps": max(config.n_grid),
         "mean_final_avg_loss": float(np.mean(finals)),
         "per_replica": per_replica,
     }
-    return _write_summary(out, config, metrics, _oracle_targets(source), time.perf_counter() - t0)
+
+
+def run_predict(config: ExperimentConfig, out_dir) -> dict:
+    """Online predict-then-reveal runs; one CSV per replica."""
+    return _run(config, out_dir, _predict, check=_check_predict)
 
 
 # ---------------------------------------------------------------------------

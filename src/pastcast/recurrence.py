@@ -266,9 +266,13 @@ class GrowthPoint:
     truncated: bool
 
 
-def default_growth_entries(
-    n: int, cells_per_level, ks, j_cap: int = 1024, budget: float = 0.05
-) -> list[tuple[int, int, int]]:
+# A default growth sweep asks for at most this many recurrences per level,
+# and keeps its typical search within this fraction of the path.
+GROWTH_J_CAP = 1024
+GROWTH_BUDGET = 0.05
+
+
+def default_growth_entries(n: int, cells_per_level, ks) -> list[tuple[int, int, int]]:
     """Pick ``(k, ell, j)`` rows for a growth sweep on a length-``n`` path.
 
     ``cells_per_level`` is either an int (finite alphabet size) or a
@@ -276,14 +280,14 @@ def default_growth_entries(
     expected depth of a ``j``-recurrence search is ``j`` times the number
     of patterns with positive mass, so ``j`` shrinks with the worst-case
     pattern count ``cells**k`` to keep the typical search inside a
-    ``budget`` fraction of the path.
+    ``GROWTH_BUDGET`` fraction of the path.
     """
     count = cells_per_level if callable(cells_per_level) else (lambda k: cells_per_level)
     entries = []
     for k in ks:
         k = int(k)
-        j = int(budget * n / count(k) ** k)
-        entries.append((k, k, max(4, min(j_cap, j))))
+        j = int(GROWTH_BUDGET * n / count(k) ** k)
+        entries.append((k, k, max(4, min(GROWTH_J_CAP, j))))
     return entries
 
 
@@ -364,8 +368,6 @@ def kac_diagnostic(
     n_trials: int,
     path_length: int,
     seed: int,
-    patterns=None,
-    min_hits: int = 1,
 ) -> list[KacRow]:
     """Check that mean first-recurrence times match reciprocal pattern mass.
 
@@ -380,11 +382,9 @@ def kac_diagnostic(
     path_length)``.  Each block is scanned as soon as it is drawn, so at
     most ``_KAC_TRIAL_BLOCK * path_length`` outcomes are held at once.
 
-    ``patterns`` optionally restricts the report to specific blocks
-    (chronological symbol tuples); requesting a zero-probability block
-    raises :class:`UnsupportedQueryError`.  Trials whose recurrence does
-    not occur within ``path_length`` are counted as unresolved and left
-    out of the mean.
+    Trials whose recurrence does not occur within ``path_length`` are
+    counted as unresolved and left out of the mean.  A realized pattern
+    whose exact probability is 0 raises :class:`UnsupportedQueryError`.
     """
     if path_length <= k:
         raise InputError("path_length must exceed the pattern length")
@@ -419,17 +419,10 @@ def kac_diagnostic(
             agg[1] += hit
             agg[2] += total - hit
 
-    wanted = None if patterns is None else {tuple(int(s) for s in p) for p in patterns}
-    if wanted is not None:
-        for pat_t in wanted - stats.keys():
-            if float(source.block_probability(pat_t)) <= 0.0:
-                raise UnsupportedQueryError(f"pattern {pat_t} has zero probability")
     rows = []
     for pat_t in sorted(stats):
-        if wanted is not None and pat_t not in wanted:
-            continue
         tau_sum, hits, unresolved = stats[pat_t]
-        if hits < min_hits:
+        if hits == 0:  # every trial unresolved: no mean to compare
             continue
         prob = float(source.block_probability(pat_t))
         if prob <= 0.0:

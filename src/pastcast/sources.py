@@ -32,6 +32,7 @@ __all__ = [
     "PRESETS",
     "get_preset",
     "build_source",
+    "replica_rng",
 ]
 
 
@@ -48,6 +49,11 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def replica_rng(seed: int, r: int) -> np.random.Generator:
+    """Replica ``r``'s generator: spawn key ``(r,)`` of the master seed."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(r),)))
 
 
 def _spawn(seed, count: int) -> list[np.random.SeedSequence]:
@@ -697,40 +703,48 @@ PRESETS = {
 }
 
 
-def get_preset(name: str, values=None):
-    if not isinstance(name, str) or name not in PRESETS:
-        raise InputError(f"unknown source preset {name!r}; available: {sorted(PRESETS)}")
-    source = PRESETS[name]()
+def get_preset(preset: str, values=None):
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise InputError(f"unknown source preset {preset!r}; available: {sorted(PRESETS)}")
+    source = PRESETS[preset]()
     if values is not None:
         source._set_alphabet(source.alphabet_size, values)
     return source
 
 
+# Spec kind -> (builder, fields it needs, fields it may have besides
+# ``values``), named as the builder's arguments.  A preset spec has no kind.
+_SPECS = {
+    "preset": (get_preset, ("preset",), ()),
+    "iid": (IIDSource, ("pmf",), ()),
+    "markov": (MarkovSource, ("transition",), ("order",)),
+    "periodic": (PeriodicSource, ("cycle",), ()),
+    "hmm": (HMMSource, ("state_transition", "emission"), ()),
+    "ryabco": (RyabcoSource, (), ("delta_cycle",)),
+}
+
+
 def build_source(spec):
-    """Build a source from a preset name or an inline description dict."""
+    """Build a source from a preset name or an inline description dict.
+
+    A dict holds ``preset``, or ``kind`` and that kind's fields, and may
+    add ``values``.  Any other field is refused: a misspelt one would
+    otherwise leave its default in place unnoticed.
+    """
     if isinstance(spec, str):
         return get_preset(spec)
     if not isinstance(spec, dict):
         raise InputError("source spec must be a preset name or a dict")
-    spec = dict(spec)
-    values = spec.pop("values", None)
-    if "preset" in spec:
-        return get_preset(spec["preset"], values)
-    kind = spec.pop("kind", None)
-    builders = {
-        "iid": lambda: IIDSource(spec["pmf"], values),
-        "markov": lambda: MarkovSource(
-            spec["transition"], spec.get("order", 1), values
-        ),
-        "periodic": lambda: PeriodicSource(spec["cycle"], values),
-        "hmm": lambda: HMMSource(spec["state_transition"], spec["emission"], values),
-        "ryabco": lambda: RyabcoSource(
-            spec.get("delta_cycle", (1.0 / 3.0, 2.0 / 3.0)), values
-        ),
-    }
-    if not isinstance(kind, str) or kind not in builders:
+    fields = dict(spec)
+    kind = "preset" if "preset" in fields else fields.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _SPECS:
         raise InputError(f"unknown source kind {kind!r}")
-    try:
-        return builders[kind]()
-    except KeyError as missing:
-        raise InputError(f"source spec is missing field {missing}") from None
+    make, needed, optional = _SPECS[kind]
+    takes = needed + optional + ("values",)
+    for name in fields:
+        if name not in takes:
+            raise InputError(f"unknown source spec field {name!r}; {kind} specs take {takes}")
+    for name in needed:
+        if name not in fields:
+            raise InputError(f"source spec is missing field {name!r}")
+    return make(**fields)

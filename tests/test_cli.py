@@ -164,14 +164,21 @@ VALUED = {"preset": "markov_stay90", "values": [-1.0, 1.0]}
 
 
 @pytest.mark.parametrize(
-    "command, overrides, field",
+    "command, overrides, message",
     [
-        ("estimate", {"estimator": "cesaro"}, "estimator"),
-        ("divergence-curve", {"source": VALUED, "schedule": {"mode": "real"}}, "schedule.mode"),
-        ("predict", {"estimator": "cesaro"}, "estimator"),
-        ("predict", {"estimator": "side_info"}, "estimator"),
-        ("predict", {"loss": "hamming", "source": VALUED, "schedule": {"mode": "real"}}, "loss"),
-        ("divergence-curve", {"estimator": "cesaro"}, "estimator"),
+        ("estimate", {"estimator": "cesaro"}, "estimator: "),
+        ("divergence-curve", {"source": VALUED, "schedule": {"mode": "real"}}, "schedule.mode: "),
+        ("predict", {"estimator": "cesaro"}, "estimator: "),
+        ("predict", {"estimator": "side_info"}, "estimator: "),
+        ("predict", {"loss": "hamming", "source": VALUED, "schedule": {"mode": "real"}}, "loss: "),
+        ("divergence-curve", {"estimator": "cesaro"}, "estimator: "),
+        ("recurrence-stats", {"n_grid": [1], "k_grid": []}, "n_grid: "),
+        ("recurrence-stats", {"n_grid": [5], "k_grid": [1, 8]}, "k_grid: "),
+        (
+            "recurrence-stats",
+            {"source": VALUED, "schedule": {"mode": "real"}, "k_grid": [1, 40]},
+            "level must be an int in [1, 32], got 40",
+        ),
     ],
     ids=[
         "estimate-cesaro",
@@ -180,14 +187,17 @@ VALUED = {"preset": "markov_stay90", "values": [-1.0, 1.0]}
         "predict-side-info",
         "predict-hamming-real",
         "curve-cesaro",
+        "recurrence-n-below-kac-level",
+        "recurrence-level-above-n",
+        "recurrence-real-level-above-max-level",
     ],
 )
-def test_rejected_runs_leave_no_output_directory(tmp_path, capsys, command, overrides, field):
+def test_rejected_runs_leave_no_output_directory(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"pastcast: {field}: ") and err.count("\n") == 1
+    assert err.startswith(f"pastcast: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -270,6 +280,47 @@ def test_predict_artifacts_and_worker_parity(tmp_path):
     assert len(rows) - 1 == 400
 
 
+@pytest.mark.parametrize(
+    "command, csvs",
+    [
+        ("simulate", ["paths.csv"]),
+        ("recurrence-stats", ["kac.csv", "growth.csv"]),
+        ("estimate", ["estimates.csv"]),
+    ],
+)
+def test_worker_count_leaves_csvs_unchanged(tmp_path, command, csvs):
+    cfg = write_config(tmp_path, replicas=3)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main([command, "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
+    for name in csvs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_replica_pool_is_no_larger_than_the_replica_count(tmp_path, monkeypatch):
+    """A pool that forks its workers up front gets at most one per replica."""
+    from pastcast import experiments
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    cfg = write_config(tmp_path, n_grid=[50], replicas=2, workers=64)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sizes == [2]
+
+
 def test_predict_writes_each_replica_before_the_next(tmp_path, monkeypatch):
     """A replica's rows are written and freed before the next replica runs."""
     from pastcast import experiments
@@ -338,6 +389,8 @@ MALFORMED = {
         "source": {"kind": "markov", "transition": [[0.9, 0.1], [0.1, 0.9]], "order": "x"}
     },
     "delta-cycle-number": {"source": {"kind": "ryabco", "delta_cycle": 5}},
+    "delta-cycle-misspelt": {"source": {"kind": "ryabco", "delta_cylce": [0.9]}},
+    "iid-with-order": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "order": 3}},
     "delta-cycle-string": {"source": {"kind": "ryabco", "delta_cycle": ["a"]}},
     "values-number": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "values": 3}},
     "values-mixed-bool": {"source": {"kind": "iid", "pmf": [0.5, 0.5], "values": [0.0, True]}},
