@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .estimators import FiniteAlphabetSchedule, RealValuedSchedule, Schedule
-from .quantize import Alphabet, IntervalFieldHierarchy, OutcomeSpace
+from .quantize import IntervalFieldHierarchy, OutcomeSpace
 from .sources import PRESETS, build_source
 
 __all__ = ["ExperimentConfig", "build_schedule", "outcome_space_for"]
@@ -37,15 +37,25 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-# schedule key -> (type check, what the check wants)
+# schedule key -> (type check, what the check wants, conversion)
 SCHEDULE_KEYS = {
-    "mode": (lambda v: isinstance(v, str), "a string"),
-    "epsilon": (_is_real, "a finite real number"),
-    "known_rate": (lambda v: v is None or _is_real(v), "a finite real number or null"),
-    "budget_fraction": (_is_real, "a finite real number"),
-    "j0": (_is_int, "an integer"),
-    "j_growth": (_is_real, "a finite real number"),
-    "max_level": (_is_int, "an integer"),
+    "mode": (lambda v: isinstance(v, str), "a string", str),
+    "epsilon": (_is_real, "a finite real number", float),
+    "known_rate": (
+        lambda v: v is None or _is_real(v),
+        "a finite real number or null",
+        lambda v: None if v is None else float(v),
+    ),
+    "budget_fraction": (_is_real, "a finite real number", float),
+    "j0": (_is_int, "an integer", int),
+    "j_growth": (_is_real, "a finite real number", float),
+    "max_level": (_is_int, "an integer", int),
+}
+# schedule mode -> the keys it reads besides ``mode``.  A key left out takes
+# the default of the schedule class (or of the interval hierarchy).
+MODE_KEYS = {
+    "finite": ("epsilon", "known_rate", "budget_fraction"),
+    "real": ("j0", "j_growth", "max_level"),
 }
 
 
@@ -82,10 +92,20 @@ class ExperimentConfig:
             if key not in SCHEDULE_KEYS:
                 choices = tuple(SCHEDULE_KEYS)
                 raise ConfigError(f"schedule.{key}", f"unknown key; choose from {choices}")
-            check, wanted = SCHEDULE_KEYS[key]
+            check, wanted, _ = SCHEDULE_KEYS[key]
             if not check(value):
                 raise ConfigError(f"schedule.{key}", f"must be {wanted}, got {value!r}")
+        mode = self.schedule.get("mode", "finite")
+        if mode not in MODE_KEYS:
+            raise ConfigError("schedule.mode", f"must be one of {tuple(MODE_KEYS)}")
+        for key in self.schedule:
+            if key != "mode" and key not in MODE_KEYS[mode]:
+                raise ConfigError(f"schedule.{key}", f"is not read in {mode} mode")
         object.__setattr__(self, "schedule", dict(self.schedule))
+
+    def schedule_args(self, *keys) -> dict:
+        """The given schedule keys that the config sets, converted."""
+        return {k: SCHEDULE_KEYS[k][2](self.schedule[k]) for k in keys if k in self.schedule}
 
     @property
     def real_mode(self) -> bool:
@@ -181,26 +201,17 @@ def outcome_space_for(config: ExperimentConfig, source) -> OutcomeSpace:
     if config.real_mode:
         if source.values is None:
             raise ConfigError("schedule.mode", "real mode needs a source with numeric values")
-        return IntervalFieldHierarchy(max_level=int(config.schedule.get("max_level", 32)))
+        return IntervalFieldHierarchy(**config.schedule_args("max_level"))
     return source.alphabet()
 
 
 def build_schedule(config: ExperimentConfig, source) -> Schedule:
     """Construct the data-size schedule a config describes."""
-    s = config.schedule
     if config.real_mode:
         return RealValuedSchedule(
-            hierarchy=outcome_space_for(config, source),
-            j0=int(s.get("j0", 50)),
-            j_growth=float(s.get("j_growth", 3.0)),
+            hierarchy=outcome_space_for(config, source), **config.schedule_args("j0", "j_growth")
         )
-    if s.get("mode", "finite") != "finite":
-        raise ConfigError("schedule.mode", "must be 'finite' or 'real'")
-    alphabet: Alphabet = source.alphabet()
-    known_rate = s.get("known_rate")
     return FiniteAlphabetSchedule(
-        alphabet_size=alphabet.size,
-        epsilon=float(s.get("epsilon", 0.5)),
-        known_rate=None if known_rate is None else float(known_rate),
-        budget_fraction=float(s.get("budget_fraction", 1.0)),
+        alphabet_size=source.alphabet_size,
+        **config.schedule_args("epsilon", "known_rate", "budget_fraction"),
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -128,12 +129,13 @@ def _map_replicas(fn, config: ExperimentConfig):
     """``fn((config dict, r))`` for every replica ``r``, yielded in replica
     order, each as soon as it is ready."""
     args = [(config.to_dict(), r) for r in range(config.replicas)]
-    if config.workers <= 1 or len(args) <= 1:
+    # A forking pool starts all its workers at once, so never more than
+    # there are replicas or CPUs; results do not depend on the count.
+    size = min(config.workers, len(args), os.cpu_count() or 1)
+    if size <= 1:
         yield from map(fn, args)
         return
-    # A forking pool starts all its workers at once, so never more than
-    # there are replicas.
-    with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as ex:
+    with ProcessPoolExecutor(max_workers=size) as ex:
         yield from ex.map(fn, args)
 
 

@@ -2,12 +2,17 @@
 
 Every source draws stationary paths from a seed and gives the exact law
 of the next outcome given a (sufficient) past and the stationary mass
-of a block.  I.i.d., Markov, periodic and renewal sources also give a
-predictive-state law (each state's stationary weight and next-symbol
-pmf), from which :class:`_SourceBase` derives the entropy rate, the best
-error rate of a symbol predictor and the innovation variance.  An HMM
-has a Monte-Carlo entropy rate and the exact error rate of a predictor
-that sees its hidden state.  ``values`` attaches one finite number to
+of a block.  The block and conditional oracles of a source read one
+recursion: the periodic phase match, the HMM forward filter, the renewal
+walk per residue; a Markov past shorter than the order is a ratio of
+block masses.  A past that this recursion finds to have mass 0 has no
+conditional law and is refused.
+I.i.d., Markov, periodic and renewal sources also give a predictive-state
+law (each state's stationary weight and next-symbol pmf), from which
+:class:`_SourceBase` derives the entropy rate, the best error rate of a
+symbol predictor and the innovation variance.  An HMM has a Monte-Carlo
+entropy rate and the exact error rate of a predictor that sees its
+hidden state.  ``values`` attaches one finite number to
 each symbol index (e.g. -1.0 and +1.0 for a two-state chain).
 """
 
@@ -115,6 +120,9 @@ def _validate_pmf(pmf, m: int | None = None) -> np.ndarray:
 _MAX_SYMBOLS = 1024
 _VALUE_BOUND = 1e150
 
+# Why a conditional law is refused when its past has mass 0.
+_IMPOSSIBLE_PAST = "past has zero probability under this model"
+
 
 def _law_sum(w, terms) -> float:
     """``sum(w[i] * terms[i])`` over the predictive states, added in order."""
@@ -153,6 +161,9 @@ class _SourceBase:
 
     def numeric_path(self, path: np.ndarray) -> np.ndarray:
         return self.numeric_values()[np.asarray(path, dtype=np.int64)]
+
+    def generate(self, n: int, seed) -> np.ndarray:
+        return self.generate_batch(1, n, seed)[0]
 
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         return np.stack([self.generate(n, np.random.default_rng(s)) for s in _spawn(seed, trials)])
@@ -205,9 +216,6 @@ class IIDSource(_SourceBase):
         cdf = self.pmf.cumsum()
         cdf /= cdf[-1]
         self._cuts = cdf[:-1]
-
-    def generate(self, n: int, seed) -> np.ndarray:
-        return self._draw(_rng(seed), int(n))
 
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         return self._draw(_rng(seed), (int(trials), int(n)))
@@ -313,9 +321,6 @@ class MarkovSource(_SourceBase):
             and abs(T[0, 0] - T[1, 1]) < 1e-15
         )
 
-    def generate(self, n: int, seed) -> np.ndarray:
-        return self.generate_batch(1, n, seed)[0]
-
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         rng = _rng(seed)
         trials, n = int(trials), int(n)
@@ -366,25 +371,21 @@ class MarkovSource(_SourceBase):
         past = np.asarray(past, dtype=np.int64)
         K = self.order
         if past.size >= K:
-            return self.transition[self._ctx_index(past[-K:])].copy()
-        # Exact marginalization over the unseen part of the context.
-        j = past.size
-        m = self.alphabet_size
-        num = np.zeros(m)
-        den = 0.0
-        for ctx in range(m**K):
-            sym = self._decode_ctx(ctx)
-            if j == 0 or sym[K - j :] == tuple(int(s) for s in past):
-                num += self._ctx_pi[ctx] * self.transition[ctx]
-                den += self._ctx_pi[ctx]
-        return num / den
+            return self.transition[self._ctx_index(past[past.size - K :])].copy()
+        # A shorter past: the ratio of stationary block masses.
+        past = past.tolist()
+        den = self.block_probability(past)
+        if den <= 0.0:
+            raise UnsupportedQueryError(_IMPOSSIBLE_PAST)
+        joint = [self.block_probability(past + [x]) for x in range(self.alphabet_size)]
+        return np.array(joint) / den
 
     def block_probability(self, block) -> float:
         block = tuple(int(s) for s in block)
         K, m = self.order, self.alphabet_size
         if len(block) >= K:
-            p = self._ctx_pi[self._ctx_index(block[:K])]
             ctx = self._ctx_index(block[:K])
+            p = self._ctx_pi[ctx]
             for s in block[K:]:
                 p *= self.transition[ctx, s]
                 ctx = (ctx * m + s) % (m**K)
@@ -400,8 +401,7 @@ class MarkovSource(_SourceBase):
         block = np.asarray(block, dtype=np.int64)
         K, m = self.order, self.alphabet_size
         if block.size < K:
-            p = self.block_probability(block)
-            return math.log2(p) if p > 0.0 else -math.inf
+            return super().block_log2_probability(block)
         start = self._ctx_pi[self._ctx_index(block[:K])]
         if start <= 0.0:
             return -math.inf
@@ -435,41 +435,35 @@ class PeriodicSource(_SourceBase):
         self._set_alphabet(max(max(self.cycle) + 1, 2), values)
         self._arr = np.asarray(self.cycle, dtype=np.int64)
 
-    def generate(self, n: int, seed) -> np.ndarray:
-        phase = int(_rng(seed).integers(len(self.cycle)))
-        return self._arr[(phase + np.arange(int(n))) % len(self.cycle)]
-
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         phases = _rng(seed).integers(len(self.cycle), size=int(trials))
         idx = (phases[:, None] + np.arange(int(n))[None, :]) % len(self.cycle)
         return self._arr[idx]
 
-    def _consistent_phases(self, past) -> list[int]:
-        """Phases (index of the next emission) matching a past suffix."""
+    def _phases(self, block) -> np.ndarray:
+        """The start phases at which the cycle emits ``block``."""
+        block = [int(s) for s in block]
+        L = len(self.cycle)
+        hits = [
+            phi
+            for phi in range(L)
+            if all(self.cycle[(phi + i) % L] == s for i, s in enumerate(block))
+        ]
+        return np.array(hits, dtype=np.int64)
+
+    def conditional(self, past) -> np.ndarray:
+        # The last L symbols fix the phase as far as any longer past does.
         past = np.asarray(past, dtype=np.int64)
         L = len(self.cycle)
         depth = min(past.size, L)
-        out = []
-        for phi in range(L):
-            if all(self.cycle[(phi - 1 - i) % L] == past[-1 - i] for i in range(depth)):
-                out.append(phi)
-        return out
-
-    def conditional(self, past) -> np.ndarray:
-        phases = self._consistent_phases(past)
-        pmf = np.zeros(self.alphabet_size)
-        for phi in phases:
-            pmf[self.cycle[phi]] += 1.0
-        return pmf / len(phases)
+        phases = self._phases(past[past.size - depth :])
+        if not phases.size:
+            raise UnsupportedQueryError(_IMPOSSIBLE_PAST)
+        following = self._arr[(phases + depth) % L]
+        return np.bincount(following, minlength=self.alphabet_size) / phases.size
 
     def block_probability(self, block) -> float:
-        block = tuple(int(s) for s in block)
-        L = len(self.cycle)
-        hits = sum(
-            all(self.cycle[(phi + i) % L] == block[i] for i in range(len(block)))
-            for phi in range(L)
-        )
-        return hits / L
+        return self._phases(block).size / len(self.cycle)
 
     def _predictive_law(self) -> tuple:
         # The phase is the state: phase phi emits cycle[phi] for sure.
@@ -480,7 +474,8 @@ class PeriodicSource(_SourceBase):
 class HMMSource(_SourceBase):
     """Hidden Markov chain with per-state emission rows.
 
-    ``conditional`` runs the exact forward filter over the supplied past;
+    ``conditional``, the block oracles and the Monte-Carlo entropy rate all
+    read one normalized forward filter, :meth:`_forward`;
     :meth:`conditional_given_state` is the oracle when the hidden state is
     revealed as side information.
     """
@@ -527,15 +522,29 @@ class HMMSource(_SourceBase):
     def generate(self, n: int, seed) -> np.ndarray:
         return self.generate_with_states(n, seed)[0]
 
-    def conditional(self, past) -> np.ndarray:
-        """Next-symbol law given exactly the supplied past (forward filter)."""
+    def _forward(self, symbols) -> tuple[list[float], np.ndarray | None]:
+        """The normalized forward filter over ``symbols``.
+
+        Returns each symbol's predictive mass given the symbols before it,
+        and the hidden-state law after the last symbol, or ``None`` once a
+        mass is 0 (the masses then end with that 0).
+        """
         alpha = self.state_pi.copy()
-        for x in np.asarray(past, dtype=np.int64):
+        masses = []
+        for x in np.asarray(symbols, dtype=np.int64):
             alpha = alpha * self.E[:, x]
             total = alpha.sum()
+            masses.append(total)
             if total <= 0:
-                raise UnsupportedQueryError("past has zero probability under this model")
+                return masses, None
             alpha = (alpha / total) @ self.A
+        return masses, alpha
+
+    def conditional(self, past) -> np.ndarray:
+        """Next-symbol law given exactly the supplied past (forward filter)."""
+        alpha = self._forward(past)[1]
+        if alpha is None:
+            raise UnsupportedQueryError(_IMPOSSIBLE_PAST)
         return alpha @ self.E
 
     def conditional_given_state(self, state: int) -> np.ndarray:
@@ -543,34 +552,15 @@ class HMMSource(_SourceBase):
         return self.E[int(state)].copy()
 
     def block_probability(self, block) -> float:
-        alpha = self.state_pi.copy()
-        for x in np.asarray(block, dtype=np.int64):
-            alpha = (alpha * self.E[:, x]) @ self.A
-        # The trailing advance through A preserves the block's total mass.
-        return float(alpha.sum())
+        return float(math.prod(self._forward(block)[0]))
 
     def block_log2_probability(self, block) -> float:
-        alpha = self.state_pi.copy()
-        total = 0.0
-        for x in np.asarray(block, dtype=np.int64):
-            alpha = alpha * self.E[:, x]
-            mass = alpha.sum()
-            if mass <= 0.0:
-                return -math.inf
-            total += math.log2(mass)
-            alpha = (alpha / mass) @ self.A
-        return total
+        masses, alpha = self._forward(block)
+        return -math.inf if alpha is None else sum(map(math.log2, masses), 0.0)
 
     def entropy_rate(self, n: int = 200_000, seed: int = 7) -> EntropyRateResult:
         """Monte-Carlo estimate via filtered per-symbol code lengths."""
-        xs = self.generate(n, seed)
-        alpha = self.state_pi.copy()
-        bits = np.empty(n)
-        for t, x in enumerate(xs):
-            pred = alpha @ self.E
-            bits[t] = -math.log2(pred[x])
-            alpha = alpha * self.E[:, x]
-            alpha = (alpha / alpha.sum()) @ self.A
+        bits = -np.log2(self._forward(self.generate(n, seed))[0])
         chunk = np.array([c.mean() for c in np.array_split(bits, 50)])
         return EntropyRateResult(
             float(bits.mean()), exact=False, stderr=float(chunk.std(ddof=1) / math.sqrt(50))
@@ -647,40 +637,29 @@ class RyabcoSource(_SourceBase):
     def conditional(self, past) -> np.ndarray:
         return self.state_pmf(self.state_from_past(past))
 
-    def block_probability(self, block) -> float:
-        block = tuple(int(s) for s in block)
-
-        def given_state(i0: int) -> float:
-            prob, i = 1.0, i0
+    def _steps(self, block) -> list[list[float]]:
+        """Per residue ``rho``: the step probabilities of ``block`` from state ``rho``."""
+        block = [int(s) for s in block]
+        walks = []
+        for rho in range(len(self.delta_cycle)):
+            steps, i = [], rho
             for s in block:
-                pmf = self.state_pmf(i)
-                prob *= pmf[s]
+                steps.append(float(self.state_pmf(i)[s]))
                 i = 0 if s == self.A else i + 1
-            return prob
+            walks.append(steps)
+        return walks
 
+    def block_probability(self, block) -> float:
         weights = self._predictive_law()[0]
-        return sum((w * given_state(rho) for rho, w in enumerate(weights)), 0.0)
+        return sum((w * math.prod(steps) for w, steps in zip(weights, self._steps(block))), 0.0)
 
     def block_log2_probability(self, block) -> float:
-        block = tuple(int(s) for s in block)
         p = len(self.delta_cycle)
-
-        def log2_given_state(i0: int) -> float:
-            total, i = 0.0, i0
-            for s in block:
-                step = self.state_pmf(i)[s]
-                if step <= 0.0:
-                    return -math.inf
-                total += math.log2(step)
-                i = 0 if s == self.A else i + 1
-            return total
-
-        terms = []
-        for rho in range(p):
-            lw = -(rho + 1) - math.log2(1.0 - 2.0**-p)
-            lt = log2_given_state(rho)
-            if lt > -math.inf:
-                terms.append(lw + lt)
+        terms = [
+            -(rho + 1) - math.log2(1.0 - 2.0**-p) + sum(map(math.log2, steps), 0.0)
+            for rho, steps in enumerate(self._steps(block))
+            if min(steps, default=1.0) > 0.0
+        ]
         if not terms:
             return -math.inf
         top = max(terms)

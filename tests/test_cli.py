@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -297,8 +298,9 @@ def test_worker_count_leaves_csvs_unchanged(tmp_path, command, csvs):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_replica_pool_is_no_larger_than_the_replica_count(tmp_path, monkeypatch):
-    """A pool that forks its workers up front gets at most one per replica."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each replica pool opened; the pool runs in process."""
     from pastcast import experiments
 
     sizes = []
@@ -316,9 +318,26 @@ def test_replica_pool_is_no_larger_than_the_replica_count(tmp_path, monkeypatch)
         map = staticmethod(map)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_replica_pool_is_no_larger_than_the_replica_count(tmp_path, monkeypatch, pool_sizes):
+    """A pool that forks its workers up front gets at most one per replica."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = write_config(tmp_path, n_grid=[50], replicas=2, workers=64)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, []), (None, [])])
+def test_replica_pool_is_no_larger_than_the_cpu_count(
+    tmp_path, monkeypatch, pool_sizes, cpus, sizes
+):
+    """With one CPU, or a count the system cannot tell, replicas run in process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = write_config(tmp_path, n_grid=[50], replicas=8, workers=5000)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert pool_sizes == sizes
 
 
 def test_predict_writes_each_replica_before_the_next(tmp_path, monkeypatch):
@@ -398,6 +417,11 @@ MALFORMED = {
     "transition-mixed-bool": {"source": {"kind": "markov", "transition": [[0.5, 0.5], [0, True]]}},
     "epsilon-overflow": {"schedule": {"epsilon": 0.999999}},
     "known-rate-overflow": {"schedule": {"known_rate": 1e300}},
+    "real-keys-in-finite-mode": {"schedule": {"mode": "finite", "j0": 5, "max_level": 3}},
+    "finite-keys-in-real-mode": {
+        "source": {"preset": "markov_stay90", "values": [-1.0, 1.0]},
+        "schedule": {"mode": "real", "epsilon": 0.9, "known_rate": 0.5},
+    },
 }
 
 

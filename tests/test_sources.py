@@ -223,6 +223,25 @@ def test_markov_order2():
         assert short[x] == pytest.approx(ratio, rel=1e-12)
 
 
+def test_markov_order0_conditional_ignores_the_past():
+    src = MarkovSource([[0.5, 0.3, 0.2]], order=0)
+    for past in ([], [2], [1, 2, 0]):
+        assert src.conditional(past).tolist() == [0.5, 0.3, 0.2]
+
+
+def test_an_impossible_past_has_no_conditional_law():
+    """A past of mass 0 raises, as an HMM's does, rather than give a NaN law."""
+    sources = [
+        (MarkovSource([[1.0, 0.0]] * 4, order=2), [1]),
+        (PeriodicSource((0, 1)), [1, 1]),
+        (tiny_hmm_with_a_silent_symbol(), [2]),
+    ]
+    for src, past in sources:
+        assert src.block_probability(past) == 0.0
+        with pytest.raises(UnsupportedQueryError):
+            src.conditional(past)
+
+
 MARKOV_LOG2_CHAINS = [
     pytest.param([[0.5, 0.3, 0.2]], 0, id="order0"),
     pytest.param([[0.9, 0.1], [0.1, 0.9]], 1, id="stay90"),
@@ -360,6 +379,22 @@ def test_periodic_longer_cycle():
     assert src.block_probability([0]) == pytest.approx(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("cycle", [(0, 1), (0, 0, 1), (2, 0, 1, 0, 0, 2), (1,)])
+def test_periodic_conditional_is_block_ratio(cycle):
+    src = PeriodicSource(cycle)
+    m, L = src.alphabet_size, len(cycle)
+    for length in range(min(L + 3, 8)):
+        for past in all_blocks(m, length):
+            tail = past[max(0, length - L) :]  # the last L symbols fix the phase
+            base = src.block_probability(tail)
+            if base == 0.0:
+                with pytest.raises(UnsupportedQueryError):
+                    src.conditional(past)
+                continue
+            ratio = [src.block_probability(tail + (x,)) / base for x in range(m)]
+            assert src.conditional(past).tolist() == pytest.approx(ratio, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # hidden-Markov
 
@@ -377,6 +412,27 @@ def test_hmm_block_probability_matches_state_sum(block):
         [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]], list(src.state_pi), block
     )
     assert src.block_probability(block) == pytest.approx(expect, rel=1e-10)
+
+
+def tiny_hmm_with_a_silent_symbol():
+    """Symbol 2 is never emitted."""
+    return HMMSource([[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2, 0.0], [0.3, 0.7, 0.0]])
+
+
+@given(st.lists(st.integers(0, 1), min_size=0, max_size=6))
+def test_hmm_block_log2_probability_matches_state_sum(block):
+    A, E = [[0.9, 0.1], [0.2, 0.8]], [[0.8, 0.2], [0.3, 0.7]]
+    src = tiny_hmm()
+    expect = math.log2(ref_hmm_block_prob(A, E, list(src.state_pi), block)) if block else 0.0
+    assert src.block_log2_probability(block) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_hmm_block_with_a_silent_symbol_is_impossible():
+    src = tiny_hmm_with_a_silent_symbol()
+    for block in ([2], [0, 1, 2], [2, 0, 0], [1, 2, 1]):
+        assert src.block_log2_probability(block) == -math.inf
+        assert src.block_probability(block) == 0.0
+    assert src.block_log2_probability([0, 1]) > -math.inf
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=5))
@@ -446,6 +502,16 @@ def test_ryabco_state_structure():
     assert src.state_pmf(2).tolist() == pytest.approx([0.5, 1.0 / 6.0, 1.0 / 3.0])
     total = sum(src.block_probability(b) for b in all_blocks(3, 2))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta_cycle", [(1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.5), (1.0,)])
+def test_ryabco_block_log2_is_log2_of_block_probability(delta_cycle):
+    src = RyabcoSource(delta_cycle)
+    for length in range(6):
+        for block in all_blocks(3, length):
+            p = src.block_probability(block)
+            want = math.log2(p) if p > 0.0 else -math.inf
+            assert src.block_log2_probability(block) == pytest.approx(want, rel=1e-13)
 
 
 def test_ryabco_innovation_variance():
