@@ -2,8 +2,7 @@
 
 A sequential model assigns a strictly positive pmf to the next symbol
 given everything consumed so far; chaining the per-step predictions
-yields a probability law on whole sequences.  Log losses accumulate in
-bits.
+yields a probability law on whole sequences.
 
 Two concrete model families live here:
 
@@ -71,13 +70,12 @@ def _earlier_counts(codes: np.ndarray, table: dict) -> np.ndarray:
 
 
 class SequentialModel:
-    """Predict-then-consume interface with bit-valued running log loss."""
+    """Predict-then-consume interface: ``predict`` the next pmf, ``update`` with the symbol."""
 
     def __init__(self, alphabet_size: int):
         if alphabet_size < 2:
             raise InputError("alphabet_size must be at least 2")
         self.alphabet_size = int(alphabet_size)
-        self._loss_bits = 0.0
         self._consumed = 0
         self._cached: np.ndarray | None = None
 
@@ -98,11 +96,6 @@ class SequentialModel:
     def consumed(self) -> int:
         return self._consumed
 
-    @property
-    def cumulative_log_loss(self) -> float:
-        """Total code length so far, in bits."""
-        return self._loss_bits
-
     def predict(self) -> np.ndarray:
         if self._cached is None:
             p = np.asarray(self._predict(), dtype=float)
@@ -117,7 +110,6 @@ class SequentialModel:
         x = int(x)
         if not 0 <= x < self.alphabet_size:
             raise InputError(f"symbol {x} outside alphabet of size {self.alphabet_size}")
-        self._loss_bits += -math.log2(self.predict()[x])
         self._advance(x)
         self._consumed += 1
         self._cached = None
@@ -303,10 +295,6 @@ class KTMixtureModel(SequentialModel):
         uniform_steps = np.minimum(np.arange(self.max_order + 1), t)
         return self._ll_counts - uniform_steps * math.log(self.alphabet_size)
 
-    def window_log2_marginal(self) -> float:
-        """log2 of the mixture's probability of the consumed window."""
-        return self.log2_marginal(self._component_log_likelihoods())
-
     def log2_marginal(self, component_ll) -> float:
         """log2 of the mixture's probability of a window whose components
         give it the natural-log likelihoods ``component_ll``."""
@@ -373,10 +361,6 @@ class LZ78Model(SequentialModel):
     def fresh(self) -> "LZ78Model":
         return LZ78Model(self.alphabet_size)
 
-    @property
-    def at_phrase_boundary(self) -> bool:
-        return self._node is self._root and len(self._walk) == 1
-
     def _predict(self) -> np.ndarray:
         half_a = self.alphabet_size / 2.0
         counts = np.zeros(self.alphabet_size)
@@ -395,13 +379,3 @@ class LZ78Model(SequentialModel):
             node.count += 1
         self._node = self._root
         self._walk = [self._root]
-
-    def check_counts(self) -> bool:
-        """Verify count = 1 + children total on every node (between phrases)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.count != 1 + sum(c.count for c in node.children.values()):
-                return False
-            stack.extend(node.children.values())
-        return True

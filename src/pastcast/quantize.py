@@ -85,16 +85,6 @@ class Alphabet:
             raise InputError("path values must be symbol indices for this alphabet")
         return codes
 
-    def label(self, k: int, code: int) -> str:
-        return str(self.symbols[code])
-
-    def numeric_value(self, code: int) -> float:
-        if self.values is not None:
-            return float(self.values[code])
-        sym = self.symbols[code]
-        if isinstance(sym, (int, float)):
-            return float(sym)
-        raise InputError(f"symbol {sym!r} has no numeric value")
 
 
 @dataclass(frozen=True)
@@ -159,11 +149,6 @@ class IntervalFieldHierarchy:
         width = 2.0**-k
         lo = -k + (code - 1) * width
         return (lo, lo + width)
-
-    def label(self, k: int, code: int) -> str:
-        lo, hi = self.interval(k, code)
-        fmt = lambda v: "-inf" if v == -math.inf else "inf" if v == math.inf else repr(v)
-        return f"[{fmt(lo)},{fmt(hi)})"
 
 
 OutcomeSpace = Alphabet | IntervalFieldHierarchy

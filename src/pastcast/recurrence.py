@@ -101,12 +101,6 @@ class SamplePath:
     def chronological(self) -> np.ndarray:
         return self.values[::-1].copy()
 
-    def value_at_lag(self, t: int):
-        """Outcome ``t`` steps back (lag 1 is the most recent)."""
-        if not 1 <= t <= self.n:
-            raise InputError(f"lag {t} outside [1, {self.n}]")
-        return self.values[t - 1]
-
 
 @dataclass(frozen=True)
 class RecurrenceRecord:
@@ -332,22 +326,27 @@ class KacRow:
     rel_deviation: float
 
 
-def _first_recurrence_taus(storage: np.ndarray, k: int) -> np.ndarray:
-    """First backward recurrence offset per row (0 marks none found).
+def _first_recurrence_taus(read, n_rows: int, path_length: int, k: int):
+    """First backward recurrence offset per row (0 marks none found), and
+    each row's newest ``k`` outcomes, newest first.
 
-    All rows are compared at once, over windows of offsets that grow four
-    times wider each round; only rows still without a match go on to the
-    next window, so a block's work follows its slowest rows, not the path
-    length.
+    ``read(rows, width)`` gives the newest ``width`` outcomes of the given
+    rows, newest first (a source's ``batch_reader``).  All rows are
+    compared at once, over windows of offsets that grow four times wider
+    each round; only rows still without a match are read again, wider, for
+    the next window, so a block's work follows its slowest rows, not the
+    path length.
     """
-    n_rows, path_length = storage.shape
     last = path_length - k
     tau = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
+    head = None
     lo, width = 1, 64
     while active.size and lo <= last:
         hi = min(last, lo + width - 1)
-        rows = storage[active, : hi + k]
+        rows = read(active, hi + k)
+        if head is None:  # the first round reads every row
+            head = rows[:, :k]
         hit = np.ones((active.size, hi + 1 - lo), dtype=bool)
         for i in range(k):
             hit &= rows[:, lo + i : hi + i + 1] == rows[:, i : i + 1]
@@ -355,7 +354,7 @@ def _first_recurrence_taus(storage: np.ndarray, k: int) -> np.ndarray:
         tau[active[found]] = lo + hit[found].argmax(axis=1)
         active = active[~found]
         lo, width = hi + 1, 4 * width
-    return tau
+    return tau, head
 
 
 # Trials per RNG block: the seeds, and so the results, depend on it.
@@ -377,10 +376,14 @@ def kac_diagnostic(
     empirical mean is compared against ``1 / P(pattern)`` computed from
     the source's exact block probabilities.
 
-    Trials are drawn in blocks of ``_KAC_TRIAL_BLOCK``, each from its own
-    spawned seed, so the result depends only on ``(seed, n_trials,
-    path_length)``.  Each block is scanned as soon as it is drawn, so at
-    most ``_KAC_TRIAL_BLOCK * path_length`` outcomes are held at once.
+    Trials come in blocks of ``_KAC_TRIAL_BLOCK``, each the batch
+    ``source.generate_batch(block, path_length, child)`` of its own spawned
+    seed, so the result depends only on ``(seed, n_trials, path_length)``.
+    A block is read through ``source.batch_reader``, newest outcomes first,
+    and only as far back as the scan goes: an i.i.d. source draws just
+    those tails of its trials (the same integers, from the same stream),
+    and other sources draw the whole block, so they hold at most
+    ``_KAC_TRIAL_BLOCK * path_length`` outcomes at once.
 
     Trials whose recurrence does not occur within ``path_length`` are
     counted as unresolved and left out of the mean.  A realized pattern
@@ -399,10 +402,9 @@ def kac_diagnostic(
     stats: dict[tuple[int, ...], list[int]] = {}
     for b, child in enumerate(_spawn(seed, n_blocks)):
         size = min(_KAC_TRIAL_BLOCK, n_trials - b * _KAC_TRIAL_BLOCK)
-        batch = np.asarray(source.generate_batch(size, path_length, child))
-        storage = batch[:, ::-1]  # most recent outcome first, per row
-        tau = _first_recurrence_taus(storage, k)
-        chron = storage[:, k - 1 :: -1]
+        read = source.batch_reader(size, path_length, child)
+        tau, head = _first_recurrence_taus(read, size, path_length, k)
+        chron = head[:, ::-1]
         ids = np.zeros(size, dtype=id_dtype)
         for col in chron.astype(id_dtype).T:
             ids = ids * m + col

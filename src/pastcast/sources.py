@@ -23,6 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, UnsupportedQueryError
 from .quantize import Alphabet
@@ -168,6 +169,16 @@ class _SourceBase:
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         return np.stack([self.generate(n, np.random.default_rng(s)) for s in _spawn(seed, trials)])
 
+    def batch_reader(self, trials: int, n: int, seed):
+        """``read(rows, width)``: the newest ``width`` outcomes, newest first, of
+        the increasing ``rows`` of ``generate_batch(trials, n, seed)``.
+
+        Drawn here as the whole batch, once; a source whose rows can be
+        drawn from their tails alone overrides this.
+        """
+        newest_first = np.asarray(self.generate_batch(trials, n, seed))[:, ::-1]
+        return lambda rows, width: newest_first[rows, :width]
+
     def block_log2_probability(self, block) -> float:
         """log2 of the stationary block mass; -inf for impossible blocks.
 
@@ -196,6 +207,10 @@ class _SourceBase:
 
 # Uniforms per i.i.d. draw chunk: 512 KiB of doubles stays in cache.
 _DRAW_CHUNK = 65536
+# A gap between two trial tails shorter than this many uniforms is drawn
+# through rather than skipped: one PCG64 advance costs about as much as
+# drawing a few hundred doubles.
+_SKIP_MIN = 512
 
 
 class IIDSource(_SourceBase):
@@ -220,19 +235,54 @@ class IIDSource(_SourceBase):
     def generate_batch(self, trials: int, n: int, seed) -> np.ndarray:
         return self._draw(_rng(seed), (int(trials), int(n)))
 
+    def batch_reader(self, trials: int, n: int, seed):
+        # Row r of a batch is uniforms r*n .. r*n + n - 1 of one PCG64 stream,
+        # one 64-bit draw each, so a row's tail is drawn alone by advancing
+        # the stream to it from the state the batch starts at.
+        n = int(n)
+        rng = _rng(seed)
+        start = rng.bit_generator.state
+
+        def read(rows, width):
+            rng.bit_generator.state = start
+            rows = np.asarray(rows, dtype=np.int64)
+            starts = rows * n + (n - width)  # each tail's first uniform
+            # A run of tails, each fewer than _SKIP_MIN uniforms past the one
+            # before, is drawn as one span; the first tail opens a run.
+            lo = np.flatnonzero(np.diff(starts, prepend=-width - _SKIP_MIN) >= width + _SKIP_MIN)
+            hi = np.append(lo[1:], starts.size)
+            u = np.empty((starts.size, width))
+            drawn = 0
+            for a, b, first in zip(lo.tolist(), hi.tolist(), starts[lo].tolist()):
+                rng.bit_generator.advance(first - drawn)
+                if b == a + 1:
+                    rng.random(out=u[a])
+                    drawn = first + width
+                else:
+                    span = rng.random(int(starts[b - 1]) - first + width)
+                    # Window i of every n-th one is row rows[a] + i's tail.
+                    u[a:b] = sliding_window_view(span, width)[::n][rows[a:b] - rows[a]]
+                    drawn = first + span.size
+            return self._count_cuts(u[:, ::-1], np.empty(u.shape, dtype=np.int64))
+
+        return read
+
     def _draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        # choice's cdf.searchsorted(u, side="right"), as sums of u >= c.  The
-        # uniforms come a cache-sized chunk at a time; each double takes one
-        # 64-bit draw, so the stream is the same as one whole-shape call.
+        # The uniforms come a cache-sized chunk at a time; each double takes
+        # one 64-bit draw, so the stream is the same as one whole-shape call.
         out = np.empty(shape, dtype=np.int64)
         flat = out.reshape(-1)
         buf = np.empty(max(1, min(flat.size, _DRAW_CHUNK)))
         for lo in range(0, flat.size, buf.size):
             dst = flat[lo : lo + buf.size]
-            u = rng.random(out=buf[: dst.size])
-            np.greater_equal(u, self._cuts[0], out=dst)
-            for c in self._cuts[1:]:
-                dst += u >= c
+            self._count_cuts(rng.random(out=buf[: dst.size]), dst)
+        return out
+
+    def _count_cuts(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # choice's cdf.searchsorted(u, side="right"), as sums of u >= c.
+        np.greater_equal(u, self._cuts[0], out=out)
+        for c in self._cuts[1:]:
+            out += u >= c
         return out
 
     def conditional(self, past) -> np.ndarray:
@@ -371,6 +421,10 @@ class MarkovSource(_SourceBase):
         past = np.asarray(past, dtype=np.int64)
         K = self.order
         if past.size >= K:
+            # The last K symbols set the law, but the whole past must be possible,
+            # as it is when every transition (and so every context) has mass.
+            if np.isneginf(self._log2_T).any() and self.block_log2_probability(past) == -math.inf:
+                raise UnsupportedQueryError(_IMPOSSIBLE_PAST)
             return self.transition[self._ctx_index(past[past.size - K :])].copy()
         # A shorter past: the ratio of stationary block masses.
         past = past.tolist()
@@ -453,11 +507,15 @@ class PeriodicSource(_SourceBase):
 
     def conditional(self, past) -> np.ndarray:
         # The last L symbols fix the phase as far as any longer past does.
+        # Phases that emit the same L symbols emit the same cycle, so the
+        # first of them tells whether the whole past is one stretch of it.
         past = np.asarray(past, dtype=np.int64)
         L = len(self.cycle)
         depth = min(past.size, L)
         phases = self._phases(past[past.size - depth :])
-        if not phases.size:
+        if not phases.size or (
+            self._arr[(phases[0] + depth - past.size + np.arange(past.size)) % L] != past
+        ).any():
             raise UnsupportedQueryError(_IMPOSSIBLE_PAST)
         following = self._arr[(phases + depth) % L]
         return np.bincount(following, minlength=self.alphabet_size) / phases.size

@@ -243,7 +243,7 @@ def test_curve_rows_equal_prepend_route(monkeypatch):
         for x in back[: n - 1]:
             m.prepend(int(x))
         window_bits = src.block_log2_probability(chron[n_max - (n - 1) :])
-        expect = (window_bits - m.window_log2_marginal()) / (n - 1)
+        expect = (window_bits - m.log2_marginal(m._component_log_likelihoods())) / (n - 1)
         assert row["model_redundancy_bits_per_symbol"] == expect
 
 

@@ -23,6 +23,35 @@ paths_bin = st.lists(st.integers(0, 1), min_size=1, max_size=14)
 paths_tri = st.lists(st.integers(0, 2), min_size=1, max_size=10)
 
 
+def log_loss_bits(model, seq):
+    """Feed ``seq`` through predict-then-update; total code length in bits."""
+    bits = 0.0
+    for x in seq:
+        bits += -math.log2(model.predict()[x])
+        model.update(x)
+    return bits
+
+
+def window_log2_marginal(m):
+    """log2 of a KT mixture's probability of the window it has consumed."""
+    return m.log2_marginal(m._component_log_likelihoods())
+
+
+def lz78_counts_hold(m):
+    """Every node's count is 1 + its children's total (between phrases)."""
+    stack = [m._root]
+    while stack:
+        node = stack.pop()
+        if node.count != 1 + sum(c.count for c in node.children.values()):
+            return False
+        stack.extend(node.children.values())
+    return True
+
+
+def at_phrase_boundary(m):
+    return m._node is m._root and len(m._walk) == 1
+
+
 # ---------------------------------------------------------------------------
 # base interface
 
@@ -34,7 +63,6 @@ def test_predict_update_contract():
     assert np.array_equal(p, m.predict())  # memoized until update
     m.update(1)
     assert m.consumed == 1
-    assert m.cumulative_log_loss == pytest.approx(-math.log2(p[1]))
     with pytest.raises(InputError):
         m.update(2)
     with pytest.raises(InputError):
@@ -45,12 +73,10 @@ def test_process_accumulates_bits():
     m = KTMixtureModel(2, max_order=2)
     seq = [0, 1, 1, 0, 1]
     m.process(seq)
-    fresh = KTMixtureModel(2, max_order=2)
-    manual = 0.0
-    for x in seq:
-        manual += -math.log2(fresh.predict()[x])
-        fresh.update(x)
-    assert m.cumulative_log_loss == pytest.approx(manual)
+    assert m.consumed == len(seq)
+    # The mixture's window mass is the product of its step predictions.
+    manual = log_loss_bits(KTMixtureModel(2, max_order=2), seq)
+    assert -window_log2_marginal(m) == pytest.approx(manual)
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +86,10 @@ def test_process_accumulates_bits():
 @given(paths_bin)
 def test_kt_order0_closed_form(seq):
     m = KTMixtureModel(2, max_order=0)
-    m.process(seq)
+    bits = log_loss_bits(m, seq)
     expect = ref_kt_component_marginal(seq, 0, 2)
-    assert 2.0 ** (-m.cumulative_log_loss) == pytest.approx(float(expect), rel=1e-12)
-    assert m.window_log2_marginal() == pytest.approx(math.log2(expect), rel=1e-12)
+    assert 2.0 ** (-bits) == pytest.approx(float(expect), rel=1e-12)
+    assert window_log2_marginal(m) == pytest.approx(math.log2(expect), rel=1e-12)
 
 
 @settings(max_examples=40)
@@ -81,15 +107,15 @@ def test_kt_window_marginal_matches_reference(seq, max_order):
     m = KTMixtureModel(3, max_order=max_order)
     m.process(seq)
     expect = ref_kt_mixture_marginal(seq, max_order, 3)
-    assert m.window_log2_marginal() == pytest.approx(math.log2(expect), rel=1e-11)
+    assert window_log2_marginal(m) == pytest.approx(math.log2(expect), rel=1e-11)
 
 
 def test_kt_marginal_equals_accumulated_loss_for_order0():
     """For a single component the chain rule and the marginal coincide."""
     m = KTMixtureModel(4, max_order=0)
     seq = [0, 3, 3, 1, 2, 3, 0, 0]
-    m.process(seq)
-    assert m.window_log2_marginal() == pytest.approx(-m.cumulative_log_loss, rel=1e-12)
+    bits = log_loss_bits(m, seq)
+    assert window_log2_marginal(m) == pytest.approx(-bits, rel=1e-12)
 
 
 @settings(max_examples=40)
@@ -102,9 +128,7 @@ def test_kt_prepend_equals_append(seq, max_order):
     for x in reversed(seq):
         back.prepend(x)
     assert back.consumed == fwd.consumed
-    assert back.window_log2_marginal() == pytest.approx(
-        fwd.window_log2_marginal(), abs=1e-12
-    )
+    assert window_log2_marginal(back) == pytest.approx(window_log2_marginal(fwd), abs=1e-12)
     assert back.predict().tolist() == pytest.approx(fwd.predict().tolist(), abs=1e-12)
 
 
@@ -117,9 +141,7 @@ def test_kt_prepend_interleaves_with_update():
     mixed.process(chron[3:])  # consume the recent half forward
     for x in reversed(chron[:3]):  # then grow the past backward
         mixed.prepend(x)
-    assert mixed.window_log2_marginal() == pytest.approx(
-        ref.window_log2_marginal(), abs=1e-12
-    )
+    assert window_log2_marginal(mixed) == pytest.approx(window_log2_marginal(ref), abs=1e-12)
     assert mixed.predict().tolist() == pytest.approx(ref.predict().tolist(), abs=1e-12)
 
 
@@ -220,16 +242,14 @@ def test_lz78_step_probs_match_reference(seq):
         p = m.predict()
         assert p[x] == pytest.approx(float(want), rel=1e-12)
         m.update(x)
-        assert m.check_counts()  # count bookkeeping holds after every step
+        assert lz78_counts_hold(m)  # count bookkeeping holds after every step
 
 
 @given(paths_bin)
 def test_lz78_loss_is_sum_of_steps(seq):
-    m = LZ78Model(2)
-    m.process(seq)
     expect = ref_lz78_step_probs(seq, 2)
     manual = -sum(math.log2(w) for w in map(float, expect))
-    assert m.cumulative_log_loss == pytest.approx(manual, rel=1e-10)
+    assert log_loss_bits(LZ78Model(2), seq) == pytest.approx(manual, rel=1e-10)
 
 
 def test_lz78_parses_phrases():
@@ -237,8 +257,8 @@ def test_lz78_parses_phrases():
     m = LZ78Model(2)
     for x in [0, 1, 0, 1, 0, 0, 0, 1, 1]:
         m.update(x)
-    assert m.check_counts()
-    assert m.at_phrase_boundary  # the stream ends exactly at a phrase end
+    assert lz78_counts_hold(m)
+    assert at_phrase_boundary(m)  # the stream ends exactly at a phrase end
 
 
 # ---------------------------------------------------------------------------

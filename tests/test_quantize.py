@@ -22,7 +22,6 @@ def test_alphabet_basics():
     assert a.symbols == (0, 1, 2)
     assert a.atom_count(1) == a.atom_count(7) == 3
     assert a.quantize(2, 5) == 2
-    assert a.label(1, 2) == "2"
 
 
 def test_alphabet_rejects_degenerate():
@@ -72,13 +71,10 @@ def test_alphabet_encode_checks_every_dtype(xs, ok):
 
 def test_alphabet_numeric_values():
     a = Alphabet.of_size(2, values=(-1.0, 1.0))
-    assert a.numeric_value(0) == -1.0
-    assert a.numeric_value(1) == 1.0
-    bare = Alphabet.of_size(2)
-    assert bare.numeric_value(1) == 1.0  # integer symbols are their own value
-    named = Alphabet(("lo", "hi"))
+    assert a.values == (-1.0, 1.0)
+    assert Alphabet.of_size(2).values is None
     with pytest.raises(InputError):
-        named.numeric_value(0)
+        Alphabet(("lo", "hi"), values=(1.0,))  # one value per symbol
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.integers(1, 9))
@@ -115,14 +111,13 @@ def test_hierarchy_frozen_cells():
     # 0.3 at level 2 lands in the cell [0.25, 0.5)
     code = h.quantize(0.3, 2)
     assert h.interval(2, code) == (0.25, 0.5)
-    assert h.label(2, code) == "[0.25,0.5)"
     # tails
     assert h.quantize(-5.0, 2) == 0
     assert h.quantize(5.0, 2) == h.atom_count(2) - 1
     assert h.quantize(2.0, 2) == h.atom_count(2) - 1  # right tail is closed at k
     assert h.quantize(-2.0, 2) == 1  # left edge belongs to the first interior cell
-    assert h.label(2, 0) == "[-inf,-2.0)"
-    assert h.label(2, 17) == "[2.0,inf)"
+    assert h.interval(2, 0) == (-math.inf, -2.0)
+    assert h.interval(2, 17) == (2.0, math.inf)
 
 
 def test_hierarchy_rejects_non_finite():

@@ -18,7 +18,7 @@ from pastcast.recurrence import (
     growth_rate_diagnostic,
     kac_diagnostic,
 )
-from pastcast.sources import MarkovSource, PeriodicSource, build_source
+from pastcast.sources import IIDSource, MarkovSource, PeriodicSource, build_source
 
 from _reference import (
     ref_backward_taus,
@@ -43,11 +43,8 @@ def test_sample_path_round_trip():
     p = SamplePath.from_chronological([3, 1, 4, 1, 5])
     assert p.n == 5
     assert p.chronological().tolist() == [3, 1, 4, 1, 5]
-    assert p.value_at_lag(1) == 5  # most recent
-    assert p.value_at_lag(5) == 3  # oldest
-    for bad in (0, 6):
-        with pytest.raises(InputError):
-            p.value_at_lag(bad)
+    assert p.values[0] == 5  # most recent first
+    assert p.values[-1] == 3  # oldest last
 
 
 def test_record_invariants():
@@ -363,22 +360,29 @@ def test_kac_diagnostic_chunking_invariant():
 
     The paths of 400 outcomes take the windowed scan past its first two
     windows (offsets 1-64 and 65-320), and some trials stay unresolved.
-    The last two cases have more patterns (2**64, 3**40) than int64 ids.
-    Rows come sorted by pattern.
+    I.i.d. sources read only their trials' tails: their paths of
+    ``64 + k - 1``, ``64 + k`` and ``64 + k + 1`` outcomes end just inside,
+    at and just past the first window.  The last two cases have more
+    patterns (2**64, 3**40) than int64 ids.  Rows come sorted by pattern.
     """
+    tri, four = IIDSource((0.5, 0.3, 0.2)), IIDSource((0.4, 0.0, 0.3, 0.3))
     cases = [
         (build_source("markov_stay90"), 1, 64),
         (build_source("iid_fair"), 6, 400),
+        (tri, 3, 66),
+        (tri, 3, 67),
+        (tri, 3, 68),
+        (four, 5, 300),
         (MarkovSource([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]]), 2, 90),
         (build_source("periodic01"), 64, 70),
         (PeriodicSource((0, 1, 2, 2, 1)), 40, 60),
     ]
-    unresolved = 0
+    unresolved = {}
     for src, k, length in cases:
         rows = kac_diagnostic(src, k=k, n_trials=3000, path_length=length, seed=5)
         want = ref_kac(src, k, 3000, length, seed=5)
         assert {r.pattern: (r.hits, r.unresolved, r.empirical_mean) for r in rows} == want
         assert [r.pattern for r in rows] == sorted(want)
         assert sum(r.hits + r.unresolved for r in rows) == 3000
-        unresolved += sum(r.unresolved for r in rows)
-    assert unresolved > 0
+        unresolved[src, k, length] = sum(r.unresolved for r in rows)
+    assert unresolved[four, 5, 300] > 0  # rows read to their full length

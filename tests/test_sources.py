@@ -154,6 +154,42 @@ def test_iid_draws_at_the_cut_points(pmf):
     assert got.tolist() == want.tolist()
     assert got.max() < len(pmf)
 
+
+@pytest.mark.parametrize("pmf", IID_DRAW_PMFS)
+@pytest.mark.parametrize(
+    "make_seed",
+    [
+        pytest.param(lambda: 23, id="int"),
+        pytest.param(lambda: np.random.SeedSequence(23, spawn_key=(4, 1)), id="seedsequence"),
+        pytest.param(lambda: np.random.default_rng(23), id="generator"),
+    ],
+)
+@pytest.mark.parametrize("trials", [1, 1500])
+def test_iid_batch_reader_reads_the_batch_tails(pmf, make_seed, trials):
+    """``read(rows, width)`` is the newest-first tail of ``generate_batch``'s rows.
+
+    Tails fewer than 512 uniforms apart are drawn as one span, the others
+    alone: at n = 700 the widths 188 and 189 fall either side of that.
+    """
+    src, pick = IIDSource(pmf), np.random.default_rng(1)
+    for n, widths in ((37, range(1, 38)), (700, (1, 188, 189, 700))):
+        newest_first = src.generate_batch(trials, n, make_seed())[:, ::-1]
+        read = src.batch_reader(trials, n, make_seed())
+        for width in widths:
+            for rows in (np.arange(trials), np.flatnonzero(pick.random(trials) < 0.05), [trials - 1]):
+                got = read(rows, width)
+                assert got.dtype == np.int64 and got.shape == (len(rows), width)
+                assert (got == newest_first[rows, :width]).all()
+
+
+def test_batch_reader_of_a_stepwise_source_slices_its_batch():
+    src = MarkovSource([[0.7, 0.2, 0.1], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]])
+    newest_first = src.generate_batch(300, 50, 9)[:, ::-1]
+    read = src.batch_reader(300, 50, 9)
+    rows = np.arange(0, 300, 7)
+    assert (read(rows, 50) == newest_first[rows]).all()
+    assert (read(rows[1:], 3) == newest_first[rows[1:], :3]).all()
+
 # ---------------------------------------------------------------------------
 # markov
 
@@ -234,6 +270,11 @@ def test_an_impossible_past_has_no_conditional_law():
     sources = [
         (MarkovSource([[1.0, 0.0]] * 4, order=2), [1]),
         (PeriodicSource((0, 1)), [1, 1]),
+        # pasts longer than the memory, whose last symbols alone are possible
+        (MarkovSource([[1.0, 0.0]] * 4, order=2), [1, 1]),
+        (MarkovSource([[1.0, 0.0], [0.5, 0.5]]), [1, 0, 1, 1, 0]),
+        (PeriodicSource((0, 1)), [1, 1, 0, 1]),
+        (PeriodicSource((0, 1, 2, 2)), [1, 2, 0, 1, 2, 2]),
         (tiny_hmm_with_a_silent_symbol(), [2]),
     ]
     for src, past in sources:
@@ -385,12 +426,12 @@ def test_periodic_conditional_is_block_ratio(cycle):
     m, L = src.alphabet_size, len(cycle)
     for length in range(min(L + 3, 8)):
         for past in all_blocks(m, length):
-            tail = past[max(0, length - L) :]  # the last L symbols fix the phase
-            base = src.block_probability(tail)
-            if base == 0.0:
+            if src.block_probability(past) == 0.0:
                 with pytest.raises(UnsupportedQueryError):
                     src.conditional(past)
                 continue
+            tail = past[max(0, length - L) :]  # the last L symbols fix the phase
+            base = src.block_probability(tail)
             ratio = [src.block_probability(tail + (x,)) / base for x in range(m)]
             assert src.conditional(past).tolist() == pytest.approx(ratio, rel=1e-15)
 
