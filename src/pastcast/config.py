@@ -141,6 +141,11 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
     def override(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 

