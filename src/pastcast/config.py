@@ -2,7 +2,8 @@
 
 A config fully determines an experiment run: the source, the estimator
 family, schedule knobs, the data-size grid, replica count and master
-seed.  ``load``/``save`` round-trip through JSON without loss, and
+seed.  ``to_dict`` is its JSON record, the one each run keeps under
+``config`` in ``summary.json``; ``load`` reads such a record from a file.
 ``validate`` rejects impossible settings up front with the offending
 field named — including schedules whose worst-case search depth would
 not fit the requested paths.
@@ -140,11 +141,6 @@ class ExperimentConfig:
         cfg = cls.from_dict(raw)
         cfg.validate()
         return cfg
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def override(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

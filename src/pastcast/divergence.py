@@ -75,7 +75,6 @@ class DivergenceReport:
     kl_bits: float
     variational: float
     pinsker_ok: bool
-    pinsker_gamma: float = PINSKER_GAMMA
 
     def __post_init__(self):
         if self.pinsker_ok and math.isfinite(self.kl_bits):

@@ -96,21 +96,6 @@ class ConditionalDistribution:
     def dirac(cls, x: float, default_used: bool = False) -> "ConditionalDistribution":
         return cls.empirical([float(x)], default_used=default_used)
 
-    @classmethod
-    def uniform_grid(
-        cls, lo: float, hi: float, points: int = 33, default_used: bool = False
-    ) -> "ConditionalDistribution":
-        """Even-weight atoms spread over ``[lo, hi]``.
-
-        Discrete stand-in for a uniform law on a bounded interval, so the
-        default stays integrable by the same two rules as every estimate.
-        """
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and points >= 1):
-            raise InputError("uniform_grid needs finite lo < hi and points >= 1")
-        step = (hi - lo) / points
-        mids = lo + step * (np.arange(points) + 0.5)
-        return cls.empirical(mids, default_used=default_used)
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -209,9 +194,6 @@ class FiniteAlphabetSchedule:
     def j_of_k(self, k: int) -> int:
         raw = self._base ** (k * self.epsilon / (1.0 - self.epsilon))
         return _floor_pos(self.budget_fraction * raw)
-
-    def eps_of_k(self, k: int) -> float:
-        return 1.0 / k
 
     def default(self) -> ConditionalDistribution:
         return ConditionalDistribution.uniform(self.alphabet_size, default_used=True)

@@ -65,8 +65,8 @@ __all__ = [
 
 # Cap on the projected model steps of a divergence curve whose model is
 # re-run for every window (lz78): one sweep of n(n-1)/2 steps per replica
-# at the largest n.  At the 12-13 us per step measured on a 2-core host,
-# the cap is about two minutes of work.
+# at the largest n.  At the 0.40-0.48 us per step measured on a 2-core host
+# (Python 3.11, numpy 2.4), a run at the cap takes about 4-5 s.
 QUADRATIC_CURVE_MAX_STEPS = 10_000_000
 
 # recurrence-stats: the growth sweep's levels when the config gives none.

@@ -351,11 +351,12 @@ def _sweep_online(outcomes, alphabet: Alphabet, schedule: Schedule, decide, loss
     del defaults
     # One loss per (law, outcome symbol) pair that occurs, priced against
     # the first outcome seen with that symbol.
+    syms, first = np.unique(codes, return_index=True)
+    first_seen = dict(zip(syms.tolist(), first.tolist()))
     pairs = law * m + codes
     priced = np.zeros(len(actions) * m)
     for pair in np.flatnonzero(np.bincount(pairs, minlength=priced.size)).tolist():
-        sym = pair % m
-        priced[pair] = loss(seen[int(np.argmax(codes == sym))], actions[pair // m])
+        priced[pair] = loss(seen[first_seen[pair % m]], actions[pair // m])
     return LossLedger(
         np.asarray(actions)[law], np.asarray(seen, dtype=float), priced[pairs], defaults_used
     )

