@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the experiment drivers; ``report``
 aggregates previously written summaries.  Exit codes: 0 success, 2
-validation failure (bad config or arguments), 3 runtime failure.
+validation failure (bad config, arguments or input files), 3 runtime
+failure (including running out of memory).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
     except (ConfigError, InputError) as err:
         _report(err)
         return EXIT_VALIDATION
-    except (PastcastError, OSError) as err:
+    except (PastcastError, OSError, MemoryError) as err:
         _report(err)
         return EXIT_RUNTIME
 

@@ -16,10 +16,10 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .estimators import FiniteAlphabetSchedule, RealValuedSchedule, Schedule
 from .quantize import IntervalFieldHierarchy, OutcomeSpace
-from .sources import PRESETS, build_source
+from .sources import build_source
 
 __all__ = ["ExperimentConfig", "build_schedule", "outcome_space_for"]
 
@@ -136,8 +136,8 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError("config", f"invalid JSON: {e}") from e
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+                raise ConfigError("config", f"{path} is not UTF-8 JSON: {e}") from e
         cfg = cls.from_dict(raw)
         cfg.validate()
         return cfg
@@ -148,13 +148,11 @@ class ExperimentConfig:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
-        if isinstance(self.source, str):
-            if self.source not in PRESETS:
-                raise ConfigError(
-                    "source", f"unknown preset {self.source!r}; choose from {sorted(PRESETS)}"
-                )
-        elif not isinstance(self.source, dict):
-            raise ConfigError("source", "must be a preset name or an inline spec object")
+        # The source's own validators check the preset name or inline spec.
+        try:
+            source = build_source(self.source)
+        except InputError as err:
+            raise ConfigError("source", str(err)) from None
         if self.estimator not in ESTIMATOR_KINDS:
             raise ConfigError("estimator", f"must be one of {ESTIMATOR_KINDS}")
         if self.model not in MODEL_KINDS:
@@ -181,8 +179,6 @@ class ExperimentConfig:
             raise ConfigError("workers", "must be at least 1")
         if self.trials < 1:
             raise ConfigError("trials", "must be at least 1")
-        # Building the source and schedule exercises their own validators.
-        source = build_source(self.source)
         build_schedule(self, source).validate(self.n_grid)
         return self
 

@@ -1,10 +1,11 @@
-"""Experiment drivers: one function per CLI subcommand.
+"""Experiment drivers: ``RUNNERS`` maps each CLI subcommand to :func:`_run`
+with that subcommand's work and check.
 
-Every driver runs through :func:`_run`: it builds the source and runs the
-subcommand's checks before it creates the output directory, so a refused
-config leaves nothing behind; then the subcommand's work writes its CSVs
-and ``_run`` writes ``summary.json`` (``config``, ``metrics``,
-``oracle_targets``, ``runtime_seconds``, ``version``).
+:func:`_run` builds the source and runs the subcommand's check before it
+creates the output directory, so a refused config leaves nothing behind;
+then the subcommand's work writes its CSVs and ``_run`` writes
+``summary.json`` (``config``, ``metrics``, ``oracle_targets``,
+``runtime_seconds``, ``version``).
 
 All randomness flows from the config's master seed; replica ``r`` always
 draws from the spawn key ``(r,)`` of that seed, so reruns produce
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -52,15 +54,7 @@ from .recurrence import (
 )
 from .sources import build_source, replica_rng
 
-__all__ = [
-    "run_simulate",
-    "run_recurrence_stats",
-    "run_estimate",
-    "run_divergence_curve",
-    "run_predict",
-    "run_report",
-    "RUNNERS",
-]
+__all__ = ["run_report", "RUNNERS"]
 
 
 # Cap on the projected model steps of a divergence curve whose model is
@@ -166,6 +160,7 @@ def _simulate_one(args) -> list[list]:
 
 
 def _simulate(config: ExperimentConfig, source, out: Path) -> dict:
+    """Emit stationary sample paths, one block of rows per replica."""
     header = ["replica", "t", "outcome"] + (["value"] if source.values is not None else [])
     rows = [row for rep in _map_replicas(_simulate_one, config) for row in rep]
     _write_csv(out / "paths.csv", header, rows)
@@ -174,11 +169,6 @@ def _simulate(config: ExperimentConfig, source, out: Path) -> dict:
         "path_length": max(config.n_grid),
         "alphabet_size": source.alphabet_size,
     }
-
-
-def run_simulate(config: ExperimentConfig, out_dir) -> dict:
-    """Emit stationary sample paths, one block of rows per replica."""
-    return _run(config, out_dir, _simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +202,13 @@ def _growth_one(args) -> list:
 
 
 def _recurrence_stats(config: ExperimentConfig, source, out: Path) -> dict:
+    """First-recurrence calibration plus the depth-growth curve.
+
+    Writes ``kac.csv`` (per realized pattern: oracle vs. empirical mean
+    first-recurrence time) and ``growth.csv`` with columns ``k, J_k,
+    tau_Jk, lambda_k, avg_gap, normalized_log_rate, truncated`` — one
+    block of rows per replica, in replica order.
+    """
     _, entries, kac_len = _recurrence_plan(config, source)
     kac_seed = np.random.SeedSequence(config.seed, spawn_key=(2**32,))
     kac_rows = kac_diagnostic(source, entries[0][0], config.trials, kac_len, kac_seed)
@@ -250,17 +247,6 @@ def _recurrence_stats(config: ExperimentConfig, source, out: Path) -> dict:
         "growth_mean_rate_by_k": _means(rate_sums),
         "growth_truncated_by_k": {str(k): c for k, c in truncated_counts.items()},
     }
-
-
-def run_recurrence_stats(config: ExperimentConfig, out_dir) -> dict:
-    """First-recurrence calibration plus the depth-growth curve.
-
-    Writes ``kac.csv`` (per realized pattern: oracle vs. empirical mean
-    first-recurrence time) and ``growth.csv`` with columns ``k, J_k,
-    tau_Jk, lambda_k, avg_gap, normalized_log_rate, truncated`` — one
-    block of rows per replica, in replica order.
-    """
-    return _run(config, out_dir, _recurrence_stats, check=_recurrence_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +302,13 @@ def _check_estimate(config: ExperimentConfig, source) -> None:
 
 
 def _estimate(config: ExperimentConfig, source, out: Path) -> dict:
+    """Schedule-driven estimates against the oracle law across the n grid.
+
+    ``estimates.csv`` holds one row per (replica, n), replicas in order:
+    schedule triple, search depth (blank when the default law was used),
+    the estimated and oracle per-symbol masses, and the L1 distance
+    between them (mass off the symbol set counts fully).
+    """
     m = source.alphabet_size
     rows = [row for rep in _map_replicas(_estimate_one, config) for row in rep]
     header = (
@@ -335,17 +328,6 @@ def _estimate(config: ExperimentConfig, source, out: Path) -> dict:
         "default_rate_by_n": _means(defaults),
         "rows": len(rows),
     }
-
-
-def run_estimate(config: ExperimentConfig, out_dir) -> dict:
-    """Schedule-driven estimates against the oracle law across the n grid.
-
-    ``estimates.csv`` holds one row per (replica, n), replicas in order:
-    schedule triple, search depth (blank when the default law was used),
-    the estimated and oracle per-symbol masses, and the L1 distance
-    between them (mass off the symbol set counts fully).
-    """
-    return _run(config, out_dir, _estimate, check=_check_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +350,13 @@ def _check_divergence(config: ExperimentConfig, source) -> None:
 
 
 def _divergence_curve(config: ExperimentConfig, source, out: Path) -> dict:
+    """Cesàro-averaged model estimates scored in divergence against the oracle.
+
+    An ``lz78`` curve re-runs the model for every window, O(n^2) steps at
+    the largest grid size, so :func:`_check_divergence` refuses it up
+    front when its projected step count passes
+    ``QUADRATIC_CURVE_MAX_STEPS``.
+    """
     m = source.alphabet_size
     if config.model == "kt_mixture":
         factory = lambda: KTMixtureModel(m, config.model_order)  # noqa: E731
@@ -390,16 +379,6 @@ def _divergence_curve(config: ExperimentConfig, source, out: Path) -> dict:
         "replicas_used": len({row["replica"] for row in rows}),
         "model": config.model,
     }
-
-
-def run_divergence_curve(config: ExperimentConfig, out_dir) -> dict:
-    """Cesàro-averaged model estimates scored in divergence against the oracle.
-
-    An ``lz78`` curve re-runs the model for every window, O(n^2) steps at
-    the largest grid size, so it is refused up front when its projected
-    step count passes ``QUADRATIC_CURVE_MAX_STEPS``.
-    """
-    return _run(config, out_dir, _divergence_curve, check=_check_divergence)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +434,7 @@ def _predict_one(args):
             schedule, alphabet_size=x_alphabet.size * y_alphabet.size, known_rate=None
         )
         ell = joint.k_of_n(n)
-        estimator = OnlineSideInfoEstimator(
-            x_alphabet, y_alphabet, k=1, ell=ell, j=joint.j_of_k(ell)
-        )
+        estimator = OnlineSideInfoEstimator(x_alphabet, y_alphabet, ell, joint.j_of_k(ell))
         ledger = run_online_side_info(outcomes, states, estimator, decide, loss)
     else:
         space = outcome_space_for(config, source)
@@ -475,6 +452,7 @@ def _predict_one(args):
 
 
 def _predict(config: ExperimentConfig, source, out: Path) -> dict:
+    """Online predict-then-reveal runs; one CSV per replica."""
     finals = []
     per_replica = {}
     for rows, summary in _map_replicas(_predict_one, config):
@@ -494,11 +472,6 @@ def _predict(config: ExperimentConfig, source, out: Path) -> dict:
         "mean_final_avg_loss": float(np.mean(finals)),
         "per_replica": per_replica,
     }
-
-
-def run_predict(config: ExperimentConfig, out_dir) -> dict:
-    """Online predict-then-reveal runs; one CSV per replica."""
-    return _run(config, out_dir, _predict, check=_check_predict)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +498,19 @@ def run_report(root, stream=None) -> list[dict]:
     root = Path(root)
     flat_rows = []
     for path in sorted(root.rglob("summary.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise InputError(f"{path} is not UTF-8 JSON: {e}") from None
+        config = payload.get("config", {}) if isinstance(payload, dict) else None
+        src = config.get("source", "") if isinstance(config, dict) else None
+        if not isinstance(src, (str, dict)):
+            raise InputError(
+                f"{path} is not a run summary: it needs an object whose config.source "
+                "is a preset name or a spec object"
+            )
         flat: dict = {"dir": str(path.parent.relative_to(root)) or "."}
-        src = payload.get("config", {}).get("source", "")
         flat["source"] = src if isinstance(src, str) else src.get("kind", "inline")
         flat["runtime_seconds"] = payload.get("runtime_seconds")
         _flatten("metrics", payload.get("metrics", {}), flat)
@@ -544,10 +526,11 @@ def run_report(root, stream=None) -> list[dict]:
     return flat_rows
 
 
+# Subcommand -> runner(config, out_dir) -> the summary.json payload.
 RUNNERS = {
-    "simulate": run_simulate,
-    "recurrence-stats": run_recurrence_stats,
-    "estimate": run_estimate,
-    "divergence-curve": run_divergence_curve,
-    "predict": run_predict,
+    "simulate": functools.partial(_run, work=_simulate),
+    "recurrence-stats": functools.partial(_run, work=_recurrence_stats, check=_recurrence_plan),
+    "estimate": functools.partial(_run, work=_estimate, check=_check_estimate),
+    "divergence-curve": functools.partial(_run, work=_divergence_curve, check=_check_divergence),
+    "predict": functools.partial(_run, work=_predict, check=_check_predict),
 }

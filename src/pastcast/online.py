@@ -16,10 +16,10 @@ produce on the past-so-far, from the outcomes that followed the last
 fresh estimator over an :class:`~pastcast.quantize.Alphabet`: one stable
 sort of the context codes per stretch of constant ``(k, ell, J)`` gives
 every step's counts at once, and ``decide`` and ``loss`` are called once
-per distinct law and once per distinct (law, outcome) pair.  The results
-equal the step-by-step loop's for any deterministic ``decide`` and
-``loss``.  Real-valued spaces, side-info runs and estimators that have
-already seen data take the loop.
+per distinct law of each regime and once per distinct (law, outcome)
+pair.  The results equal the step-by-step loop's for any deterministic
+``decide`` and ``loss``.  Real-valued spaces, side-info runs and
+estimators that have already seen data take the loop.
 """
 
 from __future__ import annotations
@@ -112,14 +112,13 @@ class OnlinePatternEstimator:
     def __init__(self, space: OutcomeSpace, schedule: Schedule):
         self.space = space
         self.schedule = schedule
-        self._n = 0
         k, ell, j = truncated_parameters(schedule, 0)
         self._params = (k, ell, j)
         self._index = IncrementalPatternIndex(space, k, ell)
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._index)
 
     @property
     def params(self) -> tuple[int, int, int]:
@@ -128,8 +127,7 @@ class OnlinePatternEstimator:
 
     def update(self, x) -> None:
         self._index.append(x)
-        self._n += 1
-        k, ell, j = truncated_parameters(self.schedule, self._n)
+        k, ell, j = truncated_parameters(self.schedule, len(self._index))
         if (k, ell) != self._params[:2]:
             self._index.reconfigure(k, ell)
         self._params = (k, ell, j)
@@ -145,41 +143,30 @@ class OnlinePatternEstimator:
 class OnlineSideInfoEstimator:
     """Fixed-parameter joint-recurrence estimator with a side channel.
 
-    Tracks two synchronized streams.  An occurrence matches the present
-    when the main-channel ``ell``-gram and the side-channel ``ell``-gram
-    both recur at level ``k``; the estimate for side value ``y_now``
+    Tracks two synchronized symbol streams.  An occurrence matches the
+    present when the main-channel ``ell``-gram and the side-channel
+    ``ell``-gram both recur; the estimate for side symbol ``y_now``
     averages main-channel outcomes over the last ``j`` matches whose
-    following side value fell in the same cell as ``y_now``.  Matches the
-    offline :func:`~pastcast.estimators.estimate_with_side_info` exactly.
+    following side symbol is ``y_now``.  Matches the offline
+    :func:`~pastcast.estimators.estimate_with_side_info` exactly.
     """
 
-    def __init__(
-        self,
-        x_space: OutcomeSpace,
-        y_space: OutcomeSpace,
-        k: int,
-        ell: int,
-        j: int,
-    ):
+    def __init__(self, x_space: Alphabet, y_space: Alphabet, ell: int, j: int):
         if ell < 1 or j < 1:
             raise InputError("context length and sample count must be positive")
         self.x_space = x_space
         self.y_space = y_space
-        self.k = int(k)
         self.ell = int(ell)
         self.j = int(j)
         self._x_codes: list[int] = []
         self._y_codes: list[int] = []
-        # (main gram, side gram, side cell at the following position) ->
+        # (main gram, side gram, side symbol at the following position) ->
         # main outcomes at that position, oldest first
         self._table: dict[tuple, list] = {}
 
-    def __len__(self) -> int:
-        return len(self._x_codes)
-
     def update(self, x, y) -> None:
-        x_code = int(self.x_space.quantize(x, self.k))
-        y_code = int(self.y_space.quantize(y, self.k))
+        x_code = self.x_space.quantize(x, 1)
+        y_code = self.y_space.quantize(y, 1)
         self._x_codes.append(x_code)
         self._y_codes.append(y_code)
         start = len(self._x_codes) - 1 - self.ell
@@ -194,7 +181,7 @@ class OnlineSideInfoEstimator:
         t = len(self._x_codes)
         if t < self.ell:
             return self._default()
-        y_cell = int(self.y_space.quantize(y_now, self.k))
+        y_cell = self.y_space.quantize(y_now, 1)
         matched = self._table.get(self._key(t - self.ell, y_cell), ())
         if len(matched) < self.j:
             return self._default()
@@ -202,9 +189,7 @@ class OnlineSideInfoEstimator:
         return _distribution_from_samples(samples, self.j, self.x_space)
 
     def _default(self) -> ConditionalDistribution:
-        if isinstance(self.x_space, Alphabet):
-            return ConditionalDistribution.uniform(self.x_space.size, default_used=True)
-        return ConditionalDistribution.dirac(0.0, default_used=True)
+        return ConditionalDistribution.uniform(self.x_space.size, default_used=True)
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +251,33 @@ def run_online(outcomes, estimator: OnlinePatternEstimator, decide, loss) -> Los
     A fresh estimator (``n == 0``) over an
     :class:`~pastcast.quantize.Alphabet` takes the array route: the run is
     computed from the encoded outcomes in one pass per schedule regime,
-    ``decide`` is called once per distinct law and ``loss`` once per
-    distinct (law, outcome symbol) pair, so both must be deterministic.
+    ``decide`` is called once per distinct law of each regime and ``loss``
+    once per distinct (law, outcome symbol) pair, so both must be
+    deterministic.
     ``loss`` gets the first outcome seen with each symbol.  That route
     leaves the estimator as it was handed over.  Every other estimator is
     advanced step by step through the run.
     """
     if estimator.n == 0 and isinstance(estimator.space, Alphabet):
         return _sweep_online(outcomes, estimator.space, estimator.schedule, decide, loss)
+    return _step_loop(zip(outcomes), estimator, decide, loss)
+
+
+def _step_loop(steps, estimator, decide, loss) -> LossLedger:
+    """The step-by-step run: each step ``(x, *shown)`` shows ``shown`` to
+    the estimator before it acts, then reveals ``x`` and absorbs it."""
     preds: list[float] = []
     seen: list = []
     losses: list[float] = []
     defaults = 0
-    for x in outcomes:
-        est = estimator.current_estimate()
+    for x, *shown in steps:
+        est = estimator.current_estimate(*shown)
         defaults += est.default_used
         a = decide(est)
         preds.append(a)
         seen.append(x)
         losses.append(loss(x, a))
-        estimator.update(x)
+        estimator.update(x, *shown)
     return LossLedger(np.asarray(preds), np.asarray(seen, dtype=float), np.asarray(losses), defaults)
 
 
@@ -308,8 +300,6 @@ def _sweep_online(outcomes, alphabet: Alphabet, schedule: Schedule, decide, loss
     # Law index of every step; -1 marks the schedule's default law.
     law = np.full(n, -1, dtype=np.int64)
     actions: list = []
-    # Counts row -> law; a row sums to its J, so it fixes the law.
-    law_index: dict[bytes, int] = {}
     for start, stop, (_, ell, j) in _regimes(schedule, n):
         # Step t's context is the gram starting at t - ell, and its law needs
         # J earlier occurrences.  The grams starting before stop - ell all
@@ -334,15 +324,10 @@ def _sweep_online(outcomes, alphabet: Alphabet, schedule: Schedule, decide, loss
             running = np.r_[0, np.cumsum(follow == sym)]
             counts[:, sym] = running[at] - running[at - j]
         del follow, running
+        # A row sums to its J, so within the regime it fixes the law.
         _, first, inverse = np.unique(_row_ids(counts, j + 1), return_index=True, return_inverse=True)
-        ids = np.empty(first.size, dtype=np.int64)
-        for i, row in enumerate(counts[first]):
-            key = row.tobytes()
-            if key not in law_index:
-                law_index[key] = len(actions)
-                actions.append(decide(ConditionalDistribution.finite(row / j)))
-            ids[i] = law_index[key]
-        law[steps] = ids[inverse.ravel()]
+        law[steps] = len(actions) + inverse.ravel()
+        actions.extend(decide(ConditionalDistribution.finite(row / j)) for row in counts[first])
     defaults = law < 0
     defaults_used = int(np.count_nonzero(defaults))
     if defaults_used:
@@ -418,14 +403,4 @@ def run_online_side_info(
     """
     if len(x_outcomes) != len(y_outcomes):
         raise InputError("main and side sequences must have equal length")
-    preds: list[float] = []
-    losses: list[float] = []
-    defaults = 0
-    for x, y in zip(x_outcomes, y_outcomes):
-        est = estimator.current_estimate(y)
-        defaults += est.default_used
-        a = decide(est)
-        preds.append(a)
-        losses.append(loss(x, a))
-        estimator.update(x, y)
-    return LossLedger(np.asarray(preds), np.asarray(x_outcomes, dtype=float), np.asarray(losses), defaults)
+    return _step_loop(zip(x_outcomes, y_outcomes), estimator, decide, loss)

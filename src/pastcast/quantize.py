@@ -126,19 +126,5 @@ class IntervalFieldHierarchy:
         idx = np.clip(idx, 0, interior - 1) + 1
         return np.where(arr < -k, 0, np.where(arr >= k, interior + 1, idx))
 
-    def interval(self, k: int, code: int) -> tuple[float, float]:
-        """Bounds ``(lo, hi)`` of a cell; the cell is ``[lo, hi)``."""
-        k = self._check_level(k)
-        interior = 2 * k * 2**k
-        if not 0 <= code <= interior + 1:
-            raise InputError(f"cell id {code} out of range at level {k}")
-        if code == 0:
-            return (-math.inf, float(-k))
-        if code == interior + 1:
-            return (float(k), math.inf)
-        width = 2.0**-k
-        lo = -k + (code - 1) * width
-        return (lo, lo + width)
-
 
 OutcomeSpace = Alphabet | IntervalFieldHierarchy

@@ -57,9 +57,13 @@ def test_missing_config_file_is_runtime_error(tmp_path):
     assert rc == 3
 
 
-def test_invalid_config_is_validation_error(tmp_path):
+def test_invalid_config_is_validation_error(tmp_path, capsys):
     cfg = write_config(tmp_path, source="not_a_preset")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("pastcast: source: unknown source preset ")
+    inline = write_config(tmp_path, source={"kind": "nope"})
+    assert main(["simulate", "--config", str(inline), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "pastcast: source: unknown source kind 'nope'\n"
     bad_grid = write_config(tmp_path, n_grid=[500, 200])
     assert main(["simulate", "--config", str(bad_grid), "--out", str(tmp_path / "o")]) == 2
     not_json = tmp_path / "syntax.json"
@@ -365,6 +369,40 @@ def test_predict_writes_each_replica_before_the_next(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "out" / "online_r2.csv")) == 51
 
 
+@pytest.mark.parametrize(
+    "command, name, content",
+    [
+        ("simulate", "config.json", b"\xff\xfe{}"),
+        ("report", "summary.json", b"{bad"),
+        ("report", "summary.json", b"[1, 2]"),
+        ("report", "summary.json", b'{"config": 5}'),
+        ("report", "summary.json", b'{"config": {"source": 5}}'),
+    ],
+    ids=["config-not-utf8", "summary-not-json", "summary-list", "summary-config", "summary-source"],
+)
+def test_malformed_files_are_validation_errors(tmp_path, capsys, command, name, content):
+    path = tmp_path / "runs" / name
+    path.parent.mkdir()
+    path.write_bytes(content)
+    flag = ["--config", str(path)] if command != "report" else []
+    assert main([command, *flag, "--out", str(path.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pastcast: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
+    from pastcast import experiments
+
+    def exhausted(config, out_dir):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setitem(experiments.RUNNERS, "simulate", exhausted)
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "pastcast: Unable to allocate 72.8 TiB for an array\n"
+
+
 def test_report_empty_dir_is_ok(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out
@@ -434,6 +472,36 @@ def test_malformed_sources_and_schedules_are_validation_errors(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("pastcast: ") and err.count("\n") == 1, (command, err)
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize(
+    "overrides, oracle",
+    [
+        (
+            {"source": {"kind": "hmm", **HMM}, "estimator": "side_info"},
+            "oracle_side_info_bayes_rate",
+        ),
+        ({"source": VALUED, "loss": "squared"}, "oracle_innovation_variance"),
+        (
+            {"source": VALUED, "loss": "squared", "schedule": {"mode": "real"}},
+            "oracle_innovation_variance",
+        ),
+    ],
+    ids=["side-info-hamming", "squared-finite", "squared-real"],
+)
+def test_predict_routes_and_worker_parity(tmp_path, overrides, oracle):
+    cfg = write_config(tmp_path, n_grid=[400], **overrides)
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["predict", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["predict", "--config", str(cfg), "--out", str(out2), "--workers", "2"]) == 0
+    for r in (0, 1):
+        name = f"online_r{r}.csv"
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        rows = read_csv(out1 / name)
+        assert rows[0] == ["t", "prediction", "outcome", "loss", "running_avg"]
+        assert len(rows) - 1 == 400
+    summary = json.loads((out1 / "summary.json").read_text())
+    assert oracle in summary["oracle_targets"]
 
 
 # JSON values of every type and some nesting, including NaN and infinities,

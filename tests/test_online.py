@@ -372,7 +372,7 @@ def tiny_hmm():
 def test_side_info_online_tracks_batch(seed):
     src = tiny_hmm()
     obs, states = src.generate_with_states(60, seed=seed)
-    online = OnlineSideInfoEstimator(BIN, BIN, k=1, ell=1, j=3)
+    online = OnlineSideInfoEstimator(BIN, BIN, ell=1, j=3)
     for t in range(60):
         got = online.current_estimate(int(states[t]))
         xp = SamplePath.from_chronological(obs[:t])
@@ -394,7 +394,7 @@ def test_side_info_online_tracks_batch(seed):
 def test_side_info_online_tracks_batch_on_long_path():
     src = tiny_hmm()
     obs, states = src.generate_with_states(4_000, seed=21)
-    online = OnlineSideInfoEstimator(BIN, BIN, k=1, ell=2, j=8)
+    online = OnlineSideInfoEstimator(BIN, BIN, ell=2, j=8)
     fitted = 0
     for t in range(obs.size):
         if t % 13 == 0 and t >= 2:
@@ -418,7 +418,7 @@ def test_side_info_online_tracks_batch_on_long_path():
 def test_run_online_side_info_end_to_end():
     src = tiny_hmm()
     obs, states = src.generate_with_states(800, seed=3)
-    est = OnlineSideInfoEstimator(BIN, BIN, k=1, ell=1, j=8)
+    est = OnlineSideInfoEstimator(BIN, BIN, ell=1, j=8)
     led = run_online_side_info(obs, states, est, predict_class, hamming_loss)
     assert led.n_steps == 800
     # knowing the hidden state must beat blind majority voting comfortably

