@@ -126,10 +126,7 @@ class ExperimentConfig:
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_grid"] = list(self.n_grid)
-        d["k_grid"] = list(self.k_grid)
-        return d
+        return asdict(self)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

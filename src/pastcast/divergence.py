@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InputError, UnsupportedQueryError
 from .estimators import ConditionalDistribution
+from .models import _running_sums
 from .recurrence import SamplePath
 from .sources import replica_rng
 
@@ -107,15 +108,6 @@ def pinsker_check(p, q, tol: float = 1e-9) -> DivergenceReport:
 # Cesàro estimation
 
 
-def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
-    """``carry + rows[0]``, ``carry + rows[0] + rows[1]``, ... added in order.
-
-    The same floats as repeated ``+=`` from ``carry``: ``np.cumsum``
-    adds left to right.
-    """
-    return np.cumsum(np.vstack([carry, rows]), axis=0)[1:]
-
-
 def cesaro_estimate(model, path: SamplePath) -> ConditionalDistribution:
     """Average of the model's predictions over all suffix windows.
 
@@ -132,7 +124,7 @@ def cesaro_estimate(model, path: SamplePath) -> ConditionalDistribution:
     if path.n == 0:
         return ConditionalDistribution.finite(model.predict(), default_used=True)
     acc = np.zeros(model.alphabet_size)
-    for _, preds, _ in model.window_sweep(path.values, path.n):
+    for _, preds, _ in model.window_sweep(path.values):
         acc = _running_sums(preds, acc)[-1]
     return ConditionalDistribution.finite(acc / path.n)
 
@@ -178,7 +170,7 @@ def expected_divergence_curve(
         support = oracle > 0.0
         targets = iter(grid)
         n = next(targets)
-        for t0, preds, component_ll in model.window_sweep(chron[::-1], n_max):
+        for t0, preds, component_ll in model.window_sweep(chron[::-1]):
             sums = _running_sums(preds, acc)
             acc = sums[-1]
             if track_convexity:

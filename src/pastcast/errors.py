@@ -26,22 +26,18 @@ class ConfigError(PastcastError):
 class InsufficientDataError(PastcastError):
     """The path was too short to complete the requested recurrence search.
 
-    Carries how many recurrences were actually found, and the search's
-    record when there is one, so callers can fall back to a default or
-    report partial results.  Raise it without binding it to a local name:
-    a local would tie its traceback to the raising frame in a reference
-    cycle, keeping that frame's path arrays alive until a garbage
-    collection.
+    Carries the search's truncated record, whose offsets are the partial
+    result, so callers can fall back to a default or report how far the
+    search got.  Raise it without binding it to a local name: a local
+    would tie its traceback to the raising frame in a reference cycle,
+    keeping that frame's path arrays alive until a garbage collection.
     """
 
-    def __init__(self, requested: int, achieved: int, message: str = "", record=None):
-        self.requested = requested
-        self.achieved = achieved
+    def __init__(self, record):
         self.record = record
-        detail = message or (
-            f"found {achieved} of {requested} requested pattern recurrences"
+        super().__init__(
+            f"found {record.achieved_j} of {record.requested_j} requested pattern recurrences"
         )
-        super().__init__(detail)
 
 
 class UnsupportedQueryError(PastcastError):

@@ -7,11 +7,11 @@ followed each occurrence: a pmf over symbols for finite alphabets, an
 equal-weight empirical measure on raw values otherwise.
 
 The truncated estimator drives the same search with data-size schedules
-``k(n), ell(k), J(k)`` chosen so the needed search depth fits inside the
-path with high probability; when it does not, a configured default
-measure is returned and flagged.  All estimates are represented by
-:class:`ConditionalDistribution`, the common return type of every
-estimator in this package.
+``k(n)`` and ``J(k)``, and context length ``ell = k``, chosen so the
+needed search depth fits inside the path with high probability; when it
+does not, a configured default measure is returned and flagged.  All
+estimates are represented by :class:`ConditionalDistribution`, the common
+return type of every estimator in this package.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .recurrence import (
     RecurrenceRecord,
     SamplePath,
     _paired_code_bytes,
-    _record_from_taus,
     _search,
     _validate_query,
     backward_recurrences,
@@ -105,11 +104,9 @@ class ConditionalDistribution:
     def mean(self, symbol_values=None) -> float:
         return integrate(lambda x: x, self, symbol_values)
 
-    def as_pmf(self, m: int | None = None) -> np.ndarray:
+    def as_pmf(self) -> np.ndarray:
         if self.pmf is None:
             raise InputError("empirical law has no symbol pmf")
-        if m is not None and self.pmf.size != m:
-            raise InputError("pmf has the wrong alphabet size")
         return self.pmf
 
 
@@ -188,9 +185,6 @@ class FiniteAlphabetSchedule:
             return 1
         return _floor_pos((1.0 - self.epsilon) * math.log(n, self._base))
 
-    def ell_of_k(self, k: int) -> int:
-        return int(k)
-
     def j_of_k(self, k: int) -> int:
         raw = self._base ** (k * self.epsilon / (1.0 - self.epsilon))
         return _floor_pos(self.budget_fraction * raw)
@@ -227,9 +221,9 @@ class RealValuedSchedule:
     """Data-size schedule for real-valued paths over the interval cells.
 
     The level ``k(n)`` is the deepest level whose worst-case search
-    budget ``ell_k + J(k) * cells(k)**ell_k / eps_k`` fits within ``n``,
-    with ``ell_k = k``, slack ``eps_k = 1/k`` and sample counts growing
-    geometrically as ``J(k) = floor(j0 * j_growth**(k-1))``.
+    budget ``k + J(k) * cells(k)**k / eps_k`` fits within ``n``, for
+    contexts of length ``k``, slack ``eps_k = 1/k`` and sample counts
+    growing geometrically as ``J(k) = floor(j0 * j_growth**(k-1))``.
     """
 
     hierarchy: IntervalFieldHierarchy = field(default_factory=IntervalFieldHierarchy)
@@ -242,19 +236,12 @@ class RealValuedSchedule:
         if self.j_growth < 1.0:
             raise ConfigError("j_growth", "must be at least 1 so J never shrinks")
 
-    def ell_of_k(self, k: int) -> int:
-        return int(k)
-
     def j_of_k(self, k: int) -> int:
         return _floor_pos(self.j0 * self.j_growth ** (k - 1))
 
-    def eps_of_k(self, k: int) -> float:
-        return 1.0 / k
-
     def budget(self, k: int) -> float:
-        ell = self.ell_of_k(k)
         cells = self.hierarchy.atom_count(k)
-        return ell + self.j_of_k(k) * float(cells) ** ell / self.eps_of_k(k)
+        return k + self.j_of_k(k) * float(cells) ** k / (1.0 / k)
 
     def k_of_n(self, n: int) -> int:
         k = 1
@@ -278,9 +265,9 @@ Schedule = FiniteAlphabetSchedule | RealValuedSchedule
 
 
 def truncated_parameters(schedule: Schedule, n: int) -> tuple[int, int, int]:
-    """The ``(k, ell, J)`` triple a schedule assigns to a length-``n`` past."""
+    """The ``(k, ell, J)`` triple, ``ell = k``, a schedule assigns to a length-``n`` past."""
     k = schedule.k_of_n(n)
-    return k, schedule.ell_of_k(k), schedule.j_of_k(k)
+    return k, k, schedule.j_of_k(k)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def estimate_fixed_k(
     """
     record = backward_recurrences(path, k, ell, j, space)
     if record.truncated:
-        raise InsufficientDataError(j, record.achieved_j, record=record)
+        raise InsufficientDataError(record)
     samples = path.values[np.asarray(record.taus, dtype=np.int64) - 1]
     return _distribution_from_samples(samples, j, space), record
 
@@ -364,9 +351,8 @@ def estimate_with_side_info(
     _validate_query(x_path.n, ell, j)
     gate = y_path.codes(y_space, k) == y_space.quantize(y_now, k)
     buf, width = _paired_code_bytes(x_path, y_path, x_space, y_space, k)
-    taus = _search(buf, width, ell, j, gate)
-    record = _record_from_taus(taus, ell, j)
+    record = RecurrenceRecord(_search(buf, width, ell, j, gate), int(ell), int(j))
     if record.truncated:
-        raise InsufficientDataError(j, record.achieved_j, record=record)
+        raise InsufficientDataError(record)
     samples = x_path.values[np.asarray(record.taus, dtype=np.int64) - 1]
     return _distribution_from_samples(samples, j, x_space), record

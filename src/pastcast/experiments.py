@@ -98,14 +98,21 @@ def _oracle_targets(source) -> dict:
 def _run(config: ExperimentConfig, out_dir, work, check=None) -> dict:
     """Build the source and run ``check(config, source)``, and only then make
     ``out_dir``; ``work(config, source, out)`` writes the CSVs and returns
-    the metrics that ``summary.json`` records."""
+    the metrics that ``summary.json`` records.  If the work fails before
+    writing anything, a directory made here is removed again."""
     t0 = time.perf_counter()
     source = build_source(config.source)
     if check is not None:
         check(config, source)
     out = Path(out_dir)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    metrics = work(config, source, out)
+    try:
+        metrics = work(config, source, out)
+    except BaseException:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     payload = {
         "config": config.to_dict(),
         "metrics": metrics,
@@ -184,12 +191,11 @@ def _recurrence_plan(config: ExperimentConfig, source):
     if k_grid[-1] > n:
         raise ConfigError("k_grid", f"level {k_grid[-1]} does not fit a path of length {n}")
     space = outcome_space_for(config, source)
-    cells = space.atom_count if config.real_mode else source.alphabet_size
     # Long enough that unresolved trials (excluded from means) are rare
     # for patterns of non-vanishing mass.
     kac_len = int(min(n, max(512, 100 * source.alphabet_size ** k_grid[0])))
     # Refuses, in real mode, a level above the hierarchy's max_level.
-    entries = default_growth_entries(n, cells, k_grid)
+    entries = default_growth_entries(n, space, k_grid)
     return space, entries, kac_len
 
 
@@ -409,21 +415,16 @@ def _predict_one(args):
     else:
         sym = source.generate(n, replica_rng(config.seed, r))
 
+    # Real mode forecasts the values; finite mode, symbols that carry them.
+    outcomes = source.numeric_path(sym) if config.real_mode else sym
     if config.loss == "hamming":
-        outcomes = sym
         shown = sym.tolist()
         decide, loss = predict_class, hamming_loss
     else:
         values = source.numeric_values()
-        if config.real_mode:
-            outcomes = source.numeric_path(sym)
-            shown = outcomes.tolist()
-            decide, loss = predict_regression, squared_loss
-        else:
-            outcomes = sym
-            shown = source.numeric_path(sym).tolist()
-            decide = lambda est: predict_regression(est, values)  # noqa: E731
-            loss = lambda x, a: (float(values[int(x)]) - a) ** 2  # noqa: E731
+        shown = source.numeric_path(sym).tolist()
+        decide = lambda est: predict_regression(est, values)  # noqa: E731
+        loss = lambda x, a: squared_loss(x if config.real_mode else values[int(x)], a)  # noqa: E731
 
     if side:
         x_alphabet = source.alphabet()

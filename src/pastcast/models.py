@@ -69,6 +69,15 @@ def _earlier_counts(codes: np.ndarray, table: dict) -> np.ndarray:
     return out
 
 
+def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
+    """``carry + rows[0]``, ``carry + rows[0] + rows[1]``, ... added in order.
+
+    The same floats as repeated ``+=`` from ``carry``: ``np.cumsum``
+    adds left to right.
+    """
+    return np.cumsum(np.vstack([carry, rows]), axis=0)[1:]
+
+
 class SequentialModel:
     """Predict-then-consume interface: ``predict`` the next pmf, ``update`` with the symbol."""
 
@@ -77,7 +86,6 @@ class SequentialModel:
             raise InputError("alphabet_size must be at least 2")
         self.alphabet_size = int(alphabet_size)
         self._consumed = 0
-        self._cached: np.ndarray | None = None
 
     # -- subclass hooks -------------------------------------------------
 
@@ -97,14 +105,13 @@ class SequentialModel:
         return self._consumed
 
     def predict(self) -> np.ndarray:
-        if self._cached is None:
-            p = np.asarray(self._predict(), dtype=float)
-            if p.shape != (self.alphabet_size,) or (p <= 0).any():
-                raise InputError("model prediction must be strictly positive")
-            if abs(p.sum() - 1.0) > 1e-12:
-                p = p / p.sum()
-            self._cached = p
-        return self._cached
+        """The next-symbol pmf, computed afresh on each call."""
+        p = np.asarray(self._predict(), dtype=float)
+        if p.shape != (self.alphabet_size,) or (p <= 0).any():
+            raise InputError("model prediction must be strictly positive")
+        if abs(p.sum() - 1.0) > 1e-12:
+            p = p / p.sum()
+        return p
 
     def update(self, x) -> None:
         x = int(x)
@@ -112,26 +119,25 @@ class SequentialModel:
             raise InputError(f"symbol {x} outside alphabet of size {self.alphabet_size}")
         self._advance(x)
         self._consumed += 1
-        self._cached = None
 
     def process(self, seq) -> None:
         for x in seq:
             self.update(x)
 
-    def window_sweep(self, backward, n_windows: int):
-        """Predictions after each of the first ``n_windows`` suffix windows.
+    def window_sweep(self, backward):
+        """Predictions after each suffix window shorter than ``backward``.
 
-        ``backward`` holds a path most recent first; window ``t`` is its
-        ``t`` most recent outcomes.  Yields ``(t0, preds, None)`` for
-        blocks of at most ``SWEEP_BLOCK`` windows ``t0, t0 + 1, ...``:
-        row ``i`` of ``preds`` is what :meth:`predict` returns once a
-        ``fresh()`` model has consumed window ``t0 + i`` oldest first.
-        That costs ``n_windows * (n_windows - 1) / 2`` model steps; a model
-        with a cheaper route overrides this.
+        ``backward`` holds a path of ``n`` outcomes, most recent first;
+        window ``t`` is its ``t`` most recent outcomes, for ``t < n``.
+        Yields ``(t0, preds, None)`` for blocks of at most ``SWEEP_BLOCK``
+        windows ``t0, t0 + 1, ...``: row ``i`` of ``preds`` is what
+        :meth:`predict` returns once a ``fresh()`` model has consumed
+        window ``t0 + i`` oldest first.  That costs ``n * (n - 1) / 2``
+        model steps; a model with a cheaper route overrides this.
         """
         if self._consumed:
             raise InputError("the window sweep needs a blank model")
-        n_windows = int(n_windows)
+        n_windows = len(backward)
         for t0 in range(0, n_windows, SWEEP_BLOCK):
             preds = np.empty((min(SWEEP_BLOCK, n_windows - t0), self.alphabet_size))
             for i in range(len(preds)):
@@ -215,13 +221,13 @@ class KTMixtureModel(SequentialModel):
                 self._add_observation(m, ctx, front[m - 1])
         self._window.appendleft(x)
         self._consumed += 1
-        self._cached = None
 
-    def window_sweep(self, backward, n_windows: int):
-        """Predictions after each of the first ``n_windows`` suffix windows.
+    def window_sweep(self, backward):
+        """Predictions after each suffix window shorter than ``backward``.
 
-        ``backward`` holds a path most recent first; window ``t`` is its
-        ``t`` most recent outcomes.  Yields ``(t0, preds, component_ll)``
+        ``backward`` holds a path of ``n`` outcomes, most recent first;
+        window ``t`` is its ``t`` most recent outcomes, for ``t < n``.
+        Yields ``(t0, preds, component_ll)``
         for blocks of at most ``SWEEP_BLOCK`` windows ``t0, t0 + 1, ...``:
         row ``i`` of ``preds`` is exactly what :meth:`predict` returns once
         a blank model has consumed window ``t0 + i``, and row ``i`` of
@@ -241,7 +247,7 @@ class KTMixtureModel(SequentialModel):
         """
         if self._consumed:
             raise InputError("the window sweep needs a blank model")
-        a, top, n_windows = self.alphabet_size, self.max_order, int(n_windows)
+        a, top, n_windows = self.alphabet_size, self.max_order, len(backward)
         # The oldest outcome of the path never enters a window.
         syms = np.asarray(backward)[: max(n_windows - 1, 0)].astype(np.int64)
         bad = syms[(syms < 0) | (syms >= a)]
@@ -279,7 +285,7 @@ class KTMixtureModel(SequentialModel):
                     counts[m, rows[hit], syms[lo:hi][hit]] = 1
                 counts[m] = np.cumsum(counts[m], axis=0) + seen[m]
                 seen[m] = counts[m, -1]
-            ll_rows = np.cumsum(np.vstack([ll, terms]), axis=0)[1:]
+            ll_rows = _running_sums(terms, ll)
             ll = ll_rows[-1].copy()
             component_ll = ll_rows - np.minimum(orders, np.arange(t0, t1)[:, None]) * log_a
             preds = self._mix(component_ll, counts)

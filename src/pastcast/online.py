@@ -37,7 +37,7 @@ from .estimators import (
     truncated_parameters,
 )
 from .quantize import Alphabet, OutcomeSpace
-from .recurrence import IncrementalPatternIndex
+from .recurrence import IncrementalPatternIndex, _row_ids
 
 __all__ = [
     "hamming_loss",
@@ -366,26 +366,6 @@ def _regimes(schedule: Schedule, n: int):
                 hi = mid
         yield start, hi, params
         start = hi
-
-
-def _row_ids(rows: np.ndarray, base: int) -> np.ndarray:
-    """One id per row of non-negative digits below ``base``, equal exactly
-    for equal rows.
-
-    Rows are read as base-``base`` numbers, a column at a time; whenever
-    the next digit could overflow int64, the ids are first renumbered
-    densely, which keeps them below the number of rows.
-    """
-    ids = np.zeros(len(rows), dtype=np.int64)
-    span = 1  # ids lie in [0, span)
-    for digit in rows.T:
-        if span * base > 2**62:
-            ids = np.unique(ids, return_inverse=True)[1].reshape(-1)
-            span = len(rows)
-        ids *= base
-        ids += digit
-        span *= base
-    return ids
 
 
 def run_online_side_info(

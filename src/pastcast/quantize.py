@@ -62,11 +62,14 @@ class Alphabet:
         """Symbol indices as int64; integer input may come back as itself.
 
         An integer array needs only the range check: a ``uint64`` value
-        above ``2**63`` wraps negative in the cast and fails it.
+        above ``2**63`` wraps negative in the cast and fails it.  A float
+        that is not an int64 (NaN, say) casts silently to a code that the
+        equality check refuses.
         """
         arr = np.asarray(xs)
         try:
-            codes = arr.astype(np.int64, copy=False)
+            with np.errstate(invalid="ignore"):
+                codes = arr.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError):
             raise InputError("path values must be symbol indices for this alphabet") from None
         if (arr.dtype.kind not in "iu" and not np.array_equal(codes, arr)) or (
@@ -122,7 +125,8 @@ class IntervalFieldHierarchy:
         if arr.size and not np.isfinite(arr).all():
             raise InputError("cannot quantize non-finite values")
         interior = 2 * k * 2**k
-        idx = np.floor((arr + k) * 2.0**k).astype(np.int64)
+        # Clipped first, so neither the scaling nor the cast overflows.
+        idx = np.floor((np.clip(arr, -k, k) + k) * 2.0**k).astype(np.int64)
         idx = np.clip(idx, 0, interior - 1) + 1
         return np.where(arr < -k, 0, np.where(arr >= k, interior + 1, idx))
 

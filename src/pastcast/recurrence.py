@@ -98,39 +98,40 @@ class SamplePath:
     def n(self) -> int:
         return int(self.values.size)
 
-    def chronological(self) -> np.ndarray:
-        return self.values[::-1].copy()
-
 
 @dataclass(frozen=True)
 class RecurrenceRecord:
-    """Result of one recurrence search.
+    """Result of one recurrence search for ``requested_j`` offsets.
 
-    ``taus`` are the match offsets in increasing order; ``lam`` is the
-    total search depth ``ell + taus[-1]`` when the requested count was
-    reached and ``None`` otherwise.
+    ``taus`` are the match offsets found, in increasing order.  The rest
+    follows from them: the search is ``truncated`` when it found fewer
+    than ``requested_j``, and otherwise ``lam`` is its total depth
+    ``ell + taus[-1]``.
     """
 
     taus: tuple[int, ...]
     ell: int
     requested_j: int
-    truncated: bool
-    lam: int | None
 
     def __post_init__(self):
         if any(t <= 0 for t in self.taus):
             raise InputError("recurrence offsets must be positive")
         if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
             raise InputError("recurrence offsets must be strictly increasing")
-        if not self.truncated:
-            if len(self.taus) != self.requested_j:
-                raise InputError("complete record must hold exactly J offsets")
-            if self.lam != self.ell + self.taus[-1]:
-                raise InputError("search depth must equal ell + last offset")
+        if len(self.taus) > self.requested_j:
+            raise InputError("a record holds at most J offsets")
 
     @property
     def achieved_j(self) -> int:
         return len(self.taus)
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.taus) < self.requested_j
+
+    @property
+    def lam(self) -> int | None:
+        return None if self.truncated else self.ell + self.taus[-1]
 
 
 def _validate_query(n: int, ell: int, j: int) -> None:
@@ -163,7 +164,7 @@ def _paired_code_bytes(
     return pairs.tobytes(), wx + wy
 
 
-def _search(buf: bytes, width: int, ell: int, j: int, gate=None) -> list[int]:
+def _search(buf: bytes, width: int, ell: int, j: int, gate=None) -> tuple[int, ...]:
     """First ``j`` offsets ``t`` in ``[1, n - ell]`` where the block of
     ``ell`` codes at ``t`` equals the block at 0 (and ``gate[t - 1]``
     holds, if given).
@@ -188,13 +189,7 @@ def _search(buf: bytes, width: int, ell: int, j: int, gate=None) -> list[int]:
             if len(taus) == j:
                 break
         pos = find(pattern, pos + width)
-    return taus
-
-
-def _record_from_taus(taus: list[int], ell: int, j: int) -> RecurrenceRecord:
-    truncated = len(taus) < j
-    lam = None if truncated else ell + taus[-1]
-    return RecurrenceRecord(tuple(taus), int(ell), int(j), truncated, lam)
+    return tuple(taus)
 
 
 def backward_recurrences(
@@ -213,7 +208,7 @@ def backward_recurrences(
     comes back truncated.
     """
     _validate_query(path.n, ell, j)
-    return _record_from_taus(_search(*path.code_bytes(space, k), ell, j), ell, j)
+    return RecurrenceRecord(_search(*path.code_bytes(space, k), ell, j), int(ell), int(j))
 
 
 def forward_recurrences(
@@ -232,7 +227,7 @@ def forward_recurrences(
     _validate_query(path.n, ell, j)
     buf, width = path.code_bytes(space, k)
     # Reversing the bytes reverses each code's bytes too, alike for every code.
-    return _record_from_taus(_search(buf[::-1], width, ell, j), ell, j)
+    return RecurrenceRecord(_search(buf[::-1], width, ell, j), int(ell), int(j))
 
 
 def avg_inter_recurrence(record: RecurrenceRecord) -> float:
@@ -266,21 +261,19 @@ GROWTH_J_CAP = 1024
 GROWTH_BUDGET = 0.05
 
 
-def default_growth_entries(n: int, cells_per_level, ks) -> list[tuple[int, int, int]]:
+def default_growth_entries(n: int, space: OutcomeSpace, ks) -> list[tuple[int, int, int]]:
     """Pick ``(k, ell, j)`` rows for a growth sweep on a length-``n`` path.
 
-    ``cells_per_level`` is either an int (finite alphabet size) or a
-    callable ``k -> cell count``.  Averaged over realized patterns, the
-    expected depth of a ``j``-recurrence search is ``j`` times the number
-    of patterns with positive mass, so ``j`` shrinks with the worst-case
-    pattern count ``cells**k`` to keep the typical search inside a
+    Averaged over realized patterns, the expected depth of a
+    ``j``-recurrence search is ``j`` times the number of patterns with
+    positive mass, so ``j`` shrinks with the worst-case pattern count
+    ``space.atom_count(k)**k`` to keep the typical search inside a
     ``GROWTH_BUDGET`` fraction of the path.
     """
-    count = cells_per_level if callable(cells_per_level) else (lambda k: cells_per_level)
     entries = []
     for k in ks:
         k = int(k)
-        j = int(GROWTH_BUDGET * n / count(k) ** k)
+        j = int(GROWTH_BUDGET * n / space.atom_count(k) ** k)
         entries.append((k, k, max(4, min(GROWTH_J_CAP, j))))
     return entries
 
@@ -357,6 +350,26 @@ def _first_recurrence_taus(read, n_rows: int, path_length: int, k: int):
     return tau, head
 
 
+def _row_ids(rows: np.ndarray, base: int) -> np.ndarray:
+    """One id per row of non-negative digits below ``base``, equal exactly
+    for equal rows.
+
+    Rows are read as base-``base`` numbers, a column at a time; whenever
+    the next digit could overflow int64, the ids are first renumbered
+    densely, which keeps them below the number of rows.
+    """
+    ids = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # ids lie in [0, span)
+    for digit in rows.T:
+        if span * base > 2**62:
+            ids = np.unique(ids, return_inverse=True)[1].reshape(-1)
+            span = len(rows)
+        ids *= base
+        ids += digit
+        span *= base
+    return ids
+
+
 # Trials per RNG block: the seeds, and so the results, depend on it.
 _KAC_TRIAL_BLOCK = 1024
 
@@ -401,11 +414,9 @@ def kac_diagnostic(
         size = min(_KAC_TRIAL_BLOCK, n_trials - b * _KAC_TRIAL_BLOCK)
         read = source.batch_reader(size, path_length, child)
         tau, head = _first_recurrence_taus(read, size, path_length, k)
-        chron = np.ascontiguousarray(head[:, ::-1])
-        # Rows as opaque keys: equal patterns, equal keys, in bytewise order
-        # (rows are sorted at the end); np.unique(axis=0) is ~6x slower here.
-        keys = chron.view(np.dtype((np.void, chron.itemsize * k))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        chron = head[:, ::-1]  # patterns get their order from the sort at the end
+        ids = _row_ids(chron, source.alphabet_size)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         tau_sums = np.zeros(first.size, dtype=np.int64)
         np.add.at(tau_sums, inverse, tau)  # unresolved trials add 0
         hits = np.bincount(inverse[tau > 0], minlength=first.size)

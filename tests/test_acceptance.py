@@ -99,7 +99,7 @@ def test_criterion_02_recurrence_growth_rate():
     n = 1_000_000
     replicas = 60
     ks = (8, 10, 12, 14, 16)
-    entries = default_growth_entries(n, 2, ks)
+    entries = default_growth_entries(n, BIN, ks)
     failures = []
     details = []
     for preset, rate_bits in (("iid_fair", 1.0), ("iid_p25", None)):

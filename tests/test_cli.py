@@ -403,6 +403,38 @@ def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "pastcast: Unable to allocate 72.8 TiB for an array\n"
 
 
+def test_failed_run_removes_the_out_dir_it_made(tmp_path, capsys, monkeypatch):
+    """Only a directory the run made, and left empty, goes; nothing is
+    really allocated."""
+    from pastcast import experiments
+
+    def exhausted(fn, config):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(experiments, "_map_replicas", exhausted)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "pastcast: Unable to allocate 72.8 TiB for an array\n"
+    assert not out.exists()
+    out.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert out.is_dir()
+
+
+def test_real_mode_far_out_values_run_without_warnings(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        source={"kind": "iid", "pmf": [0.5, 0.5], "values": [-1e20, 1e20]},
+        schedule={"mode": "real"},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_report_empty_dir_is_ok(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out

@@ -60,7 +60,7 @@ def test_predict_update_contract():
     m = KTMixtureModel(2, max_order=1)
     p = m.predict()
     assert p.sum() == pytest.approx(1.0)
-    assert np.array_equal(p, m.predict())  # memoized until update
+    assert np.array_equal(p, m.predict())
     m.update(1)
     assert m.consumed == 1
     with pytest.raises(InputError):
@@ -181,7 +181,7 @@ def prepend_route(alphabet, order, backward, n):
 
 
 def swept(alphabet, order, backward, n):
-    blocks = list(KTMixtureModel(alphabet, max_order=order).window_sweep(backward, n))
+    blocks = list(KTMixtureModel(alphabet, max_order=order).window_sweep(backward[:n]))
     assert [t0 for t0, _, _ in blocks] == list(range(0, n, models.SWEEP_BLOCK))
     preds = [row for _, p, _ in blocks for row in p.tolist()]
     lls = [row for _, _, ll in blocks for row in ll.tolist()]
@@ -222,12 +222,12 @@ def test_kt_window_sweep_wide_gram_codes():
 def test_kt_window_sweep_validation():
     m = KTMixtureModel(2, max_order=1)
     with pytest.raises(InputError):
-        next(m.window_sweep([0, 2, 1], 3))
+        next(m.window_sweep([0, 2, 1]))
     # the oldest outcome never enters a window, as with prepend
-    assert len(next(m.window_sweep([0, 1, 5], 3))[1]) == 3
+    assert len(next(m.window_sweep([0, 1, 5]))[1]) == 3
     m.update(1)
     with pytest.raises(InputError):
-        next(m.window_sweep([0, 1], 2))
+        next(m.window_sweep([0, 1]))
 
 
 # ---------------------------------------------------------------------------

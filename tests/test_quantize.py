@@ -1,6 +1,7 @@
 """Outcome spaces: finite alphabets and the dyadic interval hierarchy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,28 @@ def test_encode_a_block_keeps_order():
     h = IntervalFieldHierarchy()
     assert h.encode([0.3, -0.3], 2).tolist() == [h.quantize(0.3, 2), h.quantize(-0.3, 2)]
     assert Alphabet.of_size(2).encode([1, 0, 1], 2).tolist() == [1, 0, 1]
+
+
+def test_encode_far_out_values_without_warnings():
+    """Values far past the tiles take the tail cells, at every level,
+    without an overflow in the scaling or an invalid int64 cast."""
+    h = IntervalFieldHierarchy(max_level=48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, 49):
+            xs = [1e20, 1e300, 1.7e308, float(k)]
+            xs = [v for x in xs for v in (x, -x)]
+            xs += [float(np.nextafter(x, d)) for x in (k, -k) for d in (-math.inf, math.inf)]
+            assert h.encode(xs, k).tolist() == [h.quantize(x, k) for x in xs]
+
+
+def test_alphabet_encode_refuses_floats_without_warnings():
+    a = Alphabet.of_size(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, 1e20, -1e20, math.inf, 0.5):
+            with pytest.raises(InputError):
+                a.encode(np.array([0.0, bad]), 1)
 
 
 def test_hierarchy_interval_ids_partition_the_line():

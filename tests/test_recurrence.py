@@ -43,24 +43,25 @@ paths_tri = st.lists(st.integers(0, 2), min_size=2, max_size=60)
 def test_sample_path_round_trip():
     p = SamplePath.from_chronological([3, 1, 4, 1, 5])
     assert p.n == 5
-    assert p.chronological().tolist() == [3, 1, 4, 1, 5]
+    assert p.values[::-1].tolist() == [3, 1, 4, 1, 5]
     assert p.values[0] == 5  # most recent first
     assert p.values[-1] == 3  # oldest last
 
 
 def test_record_invariants():
     with pytest.raises(InputError):
-        RecurrenceRecord((0, 2), 1, 2, False, 3)
+        RecurrenceRecord((0, 2), 1, 2)
     with pytest.raises(InputError):
-        RecurrenceRecord((2, 2), 1, 2, False, 3)
+        RecurrenceRecord((2, 2), 1, 2)
     with pytest.raises(InputError):
-        RecurrenceRecord((1,), 1, 2, False, 2)  # complete but short
-    with pytest.raises(InputError):
-        RecurrenceRecord((1, 3), 1, 2, False, 7)  # lam != ell + last
-    rec = RecurrenceRecord((1, 3), 1, 2, False, 4)
+        RecurrenceRecord((1, 3, 5), 1, 2)  # more than J offsets
+    rec = RecurrenceRecord((1, 3), 1, 2)
     assert rec.achieved_j == 2
-    trunc = RecurrenceRecord((2,), 2, 3, True, None)
+    assert not rec.truncated and rec.lam == 4
+    trunc = RecurrenceRecord((2,), 2, 3)
     assert trunc.achieved_j == 1
+    assert trunc.truncated and trunc.lam is None
+    assert RecurrenceRecord((), 1, 1).truncated
 
 
 def test_query_validation():
@@ -199,7 +200,7 @@ def test_search_skips_hits_off_code_boundaries():
     assert stored.find(pattern, 2) % 2 == 1
     p = SamplePath(np.frombuffer(stored, dtype=np.uint16))
     assert p.code_bytes(space, 1) == (stored, 2)
-    chron = p.chronological().tolist()
+    chron = p.values[::-1].tolist()
     for search, ref in (
         (backward_recurrences, ref_backward_taus),
         (forward_recurrences, ref_forward_taus),
@@ -288,7 +289,7 @@ def test_incremental_index_validation():
 
 
 def test_growth_entries_budget_shape():
-    entries = default_growth_entries(10**6, 2, ks=(8, 12, 16))
+    entries = default_growth_entries(10**6, Alphabet(2), ks=(8, 12, 16))
     assert [e[0] for e in entries] == [8, 12, 16]
     assert all(k == ell for k, ell, _ in entries)
     # j shrinks as the pattern space grows, but never below the floor
@@ -320,12 +321,12 @@ def test_growth_sweep_encodes_each_path_once(monkeypatch):
 
     monkeypatch.setattr(Alphabet, "encode", counting)
     p = SamplePath.from_chronological(_symbols(20_000, 2, 9))
-    entries = default_growth_entries(p.n, 2, ks=range(4, 11))
+    entries = default_growth_entries(p.n, Alphabet(2), ks=range(4, 11))
     assert len(entries) == 7
     points = growth_rate_diagnostic(p, entries, BIN)
     assert len(calls) == 1
     assert [pt.tau_j for pt in points] == [
-        ref_backward_taus(p.chronological().tolist(), ell, j_max=j)[-1] for _, ell, j in entries
+        ref_backward_taus(p.values[::-1].tolist(), ell, j_max=j)[-1] for _, ell, j in entries
     ]
     # encoding still covers the whole path: a bad symbol far beyond every
     # search depth is reported, not skipped
@@ -392,3 +393,15 @@ def test_kac_diagnostic_chunking_invariant(monkeypatch):
             assert sum(r.hits + r.unresolved for r in rows) == 3000
             unresolved[src, k, length] = sum(r.unresolved for r in rows)
         assert unresolved[four, 5, 300] > 0  # rows read to their full length
+
+
+def test_kac_diagnostic_groups_patterns_past_int64_ids():
+    """1024 symbols: patterns of 7 and 9 symbols have more ids than int64,
+    so the row ids are renumbered while they are built."""
+    src = PeriodicSource((0, 1023, 3, 1023, 3, 0, 511))
+    assert src.alphabet_size == 1024
+    for k in (7, 9):
+        rows = kac_diagnostic(src, k=k, n_trials=3000, path_length=40, seed=7)
+        want = ref_kac(src, k, 3000, 40, seed=7)
+        assert {r.pattern: (r.hits, r.unresolved, r.empirical_mean) for r in rows} == want
+        assert [r.pattern for r in rows] == sorted(want)
