@@ -39,6 +39,9 @@ class InsufficientDataError(PastcastError):
             f"found {record.achieved_j} of {record.requested_j} requested pattern recurrences"
         )
 
+    def __reduce__(self):
+        return type(self), (self.record,)
+
 
 class UnsupportedQueryError(PastcastError):
     """The oracle cannot answer this query exactly (e.g. a zero-probability

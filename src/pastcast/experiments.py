@@ -9,9 +9,10 @@ then the subcommand's work writes its CSVs and ``_run`` writes
 
 All randomness flows from the config's master seed; replica ``r`` always
 draws from the spawn key ``(r,)`` of that seed, so reruns produce
-byte-identical CSVs.  Every subcommand but ``divergence-curve`` maps its
-replicas through :func:`_map_replicas`, over ``workers`` processes, and
-gets them back in replica order, whatever the worker count.
+byte-identical CSVs.  Every subcommand but ``divergence-curve`` builds
+its source and schedule once and maps a replica function bound to them
+through :func:`_map_replicas`, over ``workers`` processes, in replica
+order, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -99,19 +100,21 @@ def _run(config: ExperimentConfig, out_dir, work, check=None) -> dict:
     """Build the source and run ``check(config, source)``, and only then make
     ``out_dir``; ``work(config, source, out)`` writes the CSVs and returns
     the metrics that ``summary.json`` records.  If the work fails before
-    writing anything, a directory made here is removed again."""
+    writing anything, each directory made here, parents too, is removed."""
     t0 = time.perf_counter()
     source = build_source(config.source)
     if check is not None:
         check(config, source)
     out = Path(out_dir)
-    created = not out.exists()
+    created = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
         metrics = work(config, source, out)
     except BaseException:
-        if created and not any(out.iterdir()):
-            out.rmdir()
+        for made in created:
+            if any(made.iterdir()):
+                break
+            made.rmdir()
         raise
     payload = {
         "config": config.to_dict(),
@@ -127,25 +130,19 @@ def _run(config: ExperimentConfig, out_dir, work, check=None) -> dict:
 
 
 def _map_replicas(fn, config: ExperimentConfig):
-    """``fn((config dict, r))`` for every replica ``r``, yielded in replica
-    order, each as soon as it is ready."""
-    args = [(config.to_dict(), r) for r in range(config.replicas)]
+    """``fn(r)`` for every replica ``r``, yielded in replica order, each as
+    soon as it is ready.  With ``workers > 1`` the pool pickles ``fn``, so
+    it must be a module-level function or a ``functools.partial`` of one.
+    A replica draws from a temporary ``replica_rng``: holding it costs memory."""
+    replicas = range(config.replicas)
     # A forking pool starts all its workers at once, so never more than
     # there are replicas or CPUs; results do not depend on the count.
-    size = min(config.workers, len(args), os.cpu_count() or 1)
+    size = min(config.workers, len(replicas), os.cpu_count() or 1)
     if size <= 1:
-        yield from map(fn, args)
+        yield from map(fn, replicas)
         return
     with ProcessPoolExecutor(max_workers=size) as ex:
-        yield from ex.map(fn, args)
-
-
-def _replica(args) -> tuple[ExperimentConfig, object, int]:
-    """A mapped replica's config, source and index.  Callers draw its path
-    from a temporary ``replica_rng``; holding the generator costs memory."""
-    cfg_dict, r = args
-    config = ExperimentConfig.from_dict(cfg_dict)
-    return config, build_source(config.source), r
+        yield from ex.map(fn, replicas)
 
 
 def _means(groups: dict) -> dict:
@@ -157,8 +154,7 @@ def _means(groups: dict) -> dict:
 # simulate
 
 
-def _simulate_one(args) -> list[list]:
-    config, source, r = _replica(args)
+def _simulate_one(config: ExperimentConfig, source, r: int) -> list[list]:
     path = source.generate(max(config.n_grid), replica_rng(config.seed, r))
     if source.values is None:
         return [[r, t, int(x)] for t, x in enumerate(path)]
@@ -169,7 +165,8 @@ def _simulate_one(args) -> list[list]:
 def _simulate(config: ExperimentConfig, source, out: Path) -> dict:
     """Emit stationary sample paths, one block of rows per replica."""
     header = ["replica", "t", "outcome"] + (["value"] if source.values is not None else [])
-    rows = [row for rep in _map_replicas(_simulate_one, config) for row in rep]
+    simulate_one = functools.partial(_simulate_one, config, source)
+    rows = [row for rep in _map_replicas(simulate_one, config) for row in rep]
     _write_csv(out / "paths.csv", header, rows)
     return {
         "replicas": config.replicas,
@@ -199,9 +196,7 @@ def _recurrence_plan(config: ExperimentConfig, source):
     return space, entries, kac_len
 
 
-def _growth_one(args) -> list:
-    config, source, r = _replica(args)
-    space, entries, _ = _recurrence_plan(config, source)
+def _growth_one(config: ExperimentConfig, source, space, entries, r: int) -> list:
     sym = source.generate(max(config.n_grid), replica_rng(config.seed, r))
     path = SamplePath.from_chronological(source.numeric_path(sym) if config.real_mode else sym)
     return growth_rate_diagnostic(path, entries, space)
@@ -215,7 +210,7 @@ def _recurrence_stats(config: ExperimentConfig, source, out: Path) -> dict:
     tau_Jk, lambda_k, avg_gap, normalized_log_rate, truncated`` — one
     block of rows per replica, in replica order.
     """
-    _, entries, kac_len = _recurrence_plan(config, source)
+    space, entries, kac_len = _recurrence_plan(config, source)
     kac_seed = np.random.SeedSequence(config.seed, spawn_key=(2**32,))
     kac_rows = kac_diagnostic(source, entries[0][0], config.trials, kac_len, kac_seed)
     # One column per KacRow field, the pattern written as "0-1-1".
@@ -228,7 +223,8 @@ def _recurrence_stats(config: ExperimentConfig, source, out: Path) -> dict:
     growth_rows = []
     rate_sums: dict[int, list[float]] = {k: [] for k, _, _ in entries}
     truncated_counts = dict.fromkeys(rate_sums, 0)
-    for points in _map_replicas(_growth_one, config):
+    growth_one = functools.partial(_growth_one, config, source, space, entries)
+    for points in _map_replicas(growth_one, config):
         for pt in points:
             growth_rows.append(
                 [pt.k, pt.j, pt.tau_j, pt.lam, pt.avg_gap, pt.rate, int(pt.truncated)]
@@ -271,10 +267,7 @@ def _symbol_pmf_from(dist, values) -> np.ndarray:
     return np.array([float(np.mean(dist.samples == v)) for v in values])
 
 
-def _estimate_one(args) -> list[list]:
-    config, source, r = _replica(args)
-    schedule = build_schedule(config, source)
-    space = outcome_space_for(config, source)
+def _estimate_one(config: ExperimentConfig, source, schedule, space, r: int) -> list[list]:
     values = source.numeric_values() if config.real_mode else None
     n_max = max(config.n_grid)
     sym = source.generate(n_max, replica_rng(config.seed, r))
@@ -316,7 +309,9 @@ def _estimate(config: ExperimentConfig, source, out: Path) -> dict:
     between them (mass off the symbol set counts fully).
     """
     m = source.alphabet_size
-    rows = [row for rep in _map_replicas(_estimate_one, config) for row in rep]
+    schedule, space = build_schedule(config, source), outcome_space_for(config, source)
+    estimate_one = functools.partial(_estimate_one, config, source, schedule, space)
+    rows = [row for rep in _map_replicas(estimate_one, config) for row in rep]
     header = (
         ["n", "k", "ell", "J", "lambda", "truncated"]
         + [f"est_{i}" for i in range(m)]
@@ -365,9 +360,9 @@ def _divergence_curve(config: ExperimentConfig, source, out: Path) -> dict:
     """
     m = source.alphabet_size
     if config.model == "kt_mixture":
-        factory = lambda: KTMixtureModel(m, config.model_order)  # noqa: E731
+        factory = functools.partial(KTMixtureModel, m, config.model_order)
     else:
-        factory = lambda: LZ78Model(m)  # noqa: E731
+        factory = functools.partial(LZ78Model, m)
     rows = expected_divergence_curve(
         source, factory, config.n_grid, config.replicas, config.seed
     )
@@ -404,9 +399,7 @@ def _check_predict(config: ExperimentConfig, source) -> None:
         raise ConfigError("loss", "squared loss needs a source with numeric values")
 
 
-def _predict_one(args):
-    config, source, r = _replica(args)
-    schedule = build_schedule(config, source)
+def _predict_one(config: ExperimentConfig, source, schedule, space, r: int):
     n = max(config.n_grid)
     side = config.estimator == "side_info"
     states = None
@@ -423,22 +416,21 @@ def _predict_one(args):
     else:
         values = source.numeric_values()
         shown = source.numeric_path(sym).tolist()
+        # Made here, not bound by the caller: a pool cannot pickle lambdas.
         decide = lambda est: predict_regression(est, values)  # noqa: E731
         loss = lambda x, a: squared_loss(x if config.real_mode else values[int(x)], a)  # noqa: E731
 
     if side:
-        x_alphabet = source.alphabet()
         y_alphabet = Alphabet.of_size(int(source.n_states))
-        # Contexts pair main and side symbols, so the depth budget runs
-        # over the product alphabet.
+        # Contexts pair main symbols (side_info is finite mode, so ``space``
+        # is their alphabet) with states; the budget runs over the product.
         joint = dataclasses.replace(
-            schedule, alphabet_size=x_alphabet.size * y_alphabet.size, known_rate=None
+            schedule, alphabet_size=space.size * y_alphabet.size, known_rate=None
         )
         ell = joint.k_of_n(n)
-        estimator = OnlineSideInfoEstimator(x_alphabet, y_alphabet, ell, joint.j_of_k(ell))
+        estimator = OnlineSideInfoEstimator(space, y_alphabet, ell, joint.j_of_k(ell))
         ledger = run_online_side_info(outcomes, states, estimator, decide, loss)
     else:
-        space = outcome_space_for(config, source)
         ledger = run_online(outcomes, OnlinePatternEstimator(space, schedule), decide, loss)
     rows = list(
         zip(
@@ -456,7 +448,9 @@ def _predict(config: ExperimentConfig, source, out: Path) -> dict:
     """Online predict-then-reveal runs; one CSV per replica."""
     finals = []
     per_replica = {}
-    for rows, summary in _map_replicas(_predict_one, config):
+    schedule, space = build_schedule(config, source), outcome_space_for(config, source)
+    predict_one = functools.partial(_predict_one, config, source, schedule, space)
+    for rows, summary in _map_replicas(predict_one, config):
         r = len(finals)
         _write_csv(
             out / f"online_r{r}.csv",

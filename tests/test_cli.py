@@ -355,11 +355,11 @@ def test_predict_writes_each_replica_before_the_next(tmp_path, monkeypatch):
         def __del__(self):
             events.append(("freed", self.replica))
 
-    def traced(args):
-        events.append(("run", args[1]))
-        rows, summary = predict_one(args)
+    def traced(*args):
+        events.append(("run", args[-1]))
+        rows, summary = predict_one(*args)
         rows = Rows(rows)
-        rows.replica = args[1]
+        rows.replica = args[-1]
         return rows, summary
 
     monkeypatch.setattr(experiments, "_predict_one", traced)
@@ -421,6 +421,80 @@ def test_failed_run_removes_the_out_dir_it_made(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert out.is_dir()
+    # Parents the run made go too, deepest first; one that existed stays.
+    deep = tmp_path / "deep"
+    assert main(["simulate", "--config", str(cfg), "--out", str(deep / "a" / "out")]) == 3
+    assert not deep.exists()
+    deep.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(deep / "a" / "out")]) == 3
+    assert deep.is_dir() and not any(deep.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, overrides, csv_name, rows, metrics",
+    [
+        # A growth level too deep for the path truncates in every replica.
+        (
+            "recurrence-stats",
+            dict(source="iid_fair", n_grid=[2000], k_grid=[1, 12], replicas=3, trials=200),
+            "growth.csv",
+            6,
+            {"growth_truncated_by_k": {"1": 0, "12": 3}},
+        ),
+        # The oracle refuses a past of mass 0, and that window writes no row.
+        (
+            "estimate",
+            dict(source="ryabco_alt", n_grid=[2, 3], replicas=8, seed=0),
+            "estimates.csv",
+            15,
+            {"rows": 15},
+        ),
+        # A replica whose past has mass 0 is skipped.
+        (
+            "divergence-curve",
+            dict(source="ryabco_alt", n_grid=[1], replicas=8, seed=0),
+            "divergence.csv",
+            6,
+            {"replicas_used": 6},
+        ),
+    ],
+    ids=["growth-truncates", "estimate-oracle-refuses", "curve-skips-replicas"],
+)
+def test_skipped_and_truncated_paths(tmp_path, command, overrides, csv_name, rows, metrics):
+    """Paths that skip or truncate a replica's rows.  Each run writes the
+    same bytes with one worker and with a pool of two, which pickles the
+    run's source, schedule and outcome space (``divergence-curve`` ignores
+    the worker count)."""
+    cfg = write_config(tmp_path, **overrides)
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--workers", workers]) == 0
+        written.append((out / csv_name).read_bytes())
+        assert len(read_csv(out / csv_name)) == rows + 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert metrics.items() <= summary["metrics"].items()
+    assert written[0] == written[1]
+    if command == "recurrence-stats":
+        assert summary["metrics"]["growth_mean_rate_by_k"]["12"] is None
+        assert read_csv(out / csv_name)[2::2] == [["12", "4", "", "", "", "", "1"]] * 3
+
+
+def test_finite_schedule_refuses_a_budget_past_the_path(tmp_path, capsys):
+    """At a level boundary the rounded level can need more than the path;
+    validation refuses the run before anything is allocated."""
+    cfg = write_config(
+        tmp_path,
+        source={"kind": "iid", "pmf": [0.25, 0.25, 0.25, 0.25]},
+        schedule={"epsilon": 0.854163325870362},
+        n_grid=[180565007],
+    )
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "pastcast: schedule: search budget exceeds the path at n=180565007 (k=2)\n"
+    )
+    assert not out.exists()
 
 
 def test_real_mode_far_out_values_run_without_warnings(tmp_path, capsys):

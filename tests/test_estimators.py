@@ -1,5 +1,7 @@
 """Conditional-law container, schedules, and the pattern estimators."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from pastcast.estimators import (
     truncated_parameters,
 )
 from pastcast.quantize import Alphabet, IntervalFieldHierarchy
-from pastcast.recurrence import SamplePath, backward_recurrences
+from pastcast.recurrence import RecurrenceRecord, SamplePath, backward_recurrences
 
 from _reference import ref_backward_taus, ref_estimate, ref_quantize
 
@@ -111,6 +113,22 @@ def test_finite_schedule_validation():
             FiniteAlphabetSchedule(**kwargs)
 
 
+@given(
+    st.integers(0, 10**15),
+    st.integers(1, 10**6),
+    st.floats(1.0, 10.0),
+    st.integers(1, 48),
+)
+def test_real_schedule_level_fits_the_path(n, j0, j_growth, max_level):
+    """Why ``RealValuedSchedule.validate`` has nothing to check: the level
+    ``k_of_n`` returns is 1 or has a budget within ``n``."""
+    s = RealValuedSchedule(IntervalFieldHierarchy(max_level), j0, j_growth)
+    k = s.k_of_n(n)
+    assert 1 <= k <= max_level
+    assert k == 1 or s.budget(k) <= n
+    s.validate([n])
+
+
 def test_real_schedule_frozen_values():
     s = RealValuedSchedule(hierarchy=IntervalFieldHierarchy())
     assert s.k_of_n(1_000) == 1
@@ -143,6 +161,14 @@ def test_estimate_fixed_k_matches_reference(chron, ell, j):
         assert dist.pmf.tolist() == [float(v) for v in expect]
         assert not dist.default_used
         assert rec.lam == ell + rec.taus[-1]
+
+
+def test_insufficient_data_error_survives_pickling():
+    """A replica worker's error comes back pickled, record and message intact."""
+    err = InsufficientDataError(RecurrenceRecord((1, 3), 2, 4))
+    back = pickle.loads(pickle.dumps(err))
+    assert back.record == err.record and str(back) == str(err)
+    assert str(back) == "found 2 of 4 requested pattern recurrences"
 
 
 def test_estimate_fixed_k_real_mode_keeps_raw_values():
